@@ -187,6 +187,59 @@ BENCHMARK(BM_BufferFetch)
     ->Arg(static_cast<int>(buffer::PolicyKind::kClock))
     ->Arg(static_cast<int>(buffer::PolicyKind::kFifo));
 
+// A frame table the RAP bench writes directly, with no pool around it.
+class MicroDirectory final : public buffer::FrameDirectory {
+ public:
+  explicit MicroDirectory(size_t capacity) : frames(capacity) {}
+  const buffer::FrameMeta& Meta(buffer::FrameId frame) const override {
+    return frames[frame];
+  }
+  size_t capacity() const override { return frames.size(); }
+
+  std::vector<buffer::FrameMeta> frames;
+};
+
+// RAP victim selection in a full pool, per miss: ChooseVictim, the
+// eviction it picks and the insert of the next page of a random term,
+// with the query context republished every 8 misses (the next choice
+// then re-reads its weights). Stored weights fall along each list, as on
+// frequency-sorted lists. Args: pool capacity, context terms.
+void BM_RapChooseVictim(benchmark::State& state) {
+  const size_t capacity = static_cast<size_t>(state.range(0));
+  const TermId context_terms = static_cast<TermId>(state.range(1));
+  const TermId terms = 2 * context_terms + static_cast<TermId>(capacity / 8);
+  MicroDirectory dir(capacity);
+  auto policy = buffer::MakePolicy(buffer::PolicyKind::kRap);
+  policy->Attach(&dir);
+  buffer::QueryContext ctx;
+  for (TermId t = 0; t < context_terms; ++t) ctx.SetWeight(t, 1.0 + t % 5);
+  policy->SetQueryContext(&ctx);
+  // Under RAP a term's resident pages stay a prefix of its list, so its
+  // next page is its resident count.
+  std::vector<uint32_t> resident(terms, 0);
+  Pcg32 rng(19);
+  const auto insert = [&](buffer::FrameId frame) {
+    const TermId t = rng.NextBounded(terms);
+    const uint32_t page_no = resident[t]++;
+    dir.frames[frame] = {PageId{t, page_no}, 1000.0 / (1 + page_no), true};
+    policy->OnInsert(frame);
+  };
+  for (size_t f = 0; f < capacity; ++f) {
+    insert(static_cast<buffer::FrameId>(f));
+  }
+  uint64_t misses = 0;
+  for (auto _ : state) {
+    if (++misses % 8 == 0) policy->SetQueryContext(&ctx);
+    const buffer::FrameId victim = policy->ChooseVictim();
+    policy->OnEvict(victim);
+    --resident[dir.frames[victim].page.term];
+    insert(victim);
+  }
+}
+BENCHMARK(BM_RapChooseVictim)
+    ->ArgNames({"capacity", "context"})
+    ->ArgsProduct({{64, 1152, 4610}, {3, 100, 400}});
+
 // Span-tracing cost pair: the disabled path (null recorder — what every
 // hot-path site pays when tracing is off, one branch in and one out)
 // versus full recording. The disabled number is the one the

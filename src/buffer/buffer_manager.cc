@@ -72,6 +72,9 @@ FrameId BufferManager::PickVictim() {
       fallback = f;
     }
   }
+  if (fallback != kInvalidFrame && metrics_.victim_fallbacks != nullptr) {
+    metrics_.victim_fallbacks->Add(1);
+  }
   return fallback;
 }
 
@@ -207,6 +210,10 @@ void BufferManager::BindMetrics(obs::MetricsRegistry* registry) {
       registry->AddCounter("buffer.misses", "fetches that went to disk");
   metrics_.evictions =
       registry->AddCounter("buffer.evictions", "pages pushed out of the pool");
+  metrics_.victim_fallbacks = registry->AddCounter(
+      "buffer.victim_fallbacks",
+      "evictions of the oldest unpinned frame because the policy's victim "
+      "was pinned");
   metrics_.victim_age = registry->AddHistogram(
       "buffer.eviction_victim_age",
       {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0},

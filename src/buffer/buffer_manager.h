@@ -114,7 +114,8 @@ class BufferManager final : public FrameDirectory, public BufferPool {
   }
 
   /// Resolves metric handles in `registry` (buffer.fetches, buffer.hits,
-  /// buffer.misses, buffer.evictions, buffer.eviction_victim_age) once;
+  /// buffer.misses, buffer.evictions, buffer.victim_fallbacks,
+  /// buffer.eviction_victim_age) once;
   /// the fetch path then only dereferences them. Pass nullptr to unbind.
   void BindMetrics(obs::MetricsRegistry* registry);
 
@@ -172,6 +173,7 @@ class BufferManager final : public FrameDirectory, public BufferPool {
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* evictions = nullptr;
+    obs::Counter* victim_fallbacks = nullptr;
     obs::Histogram* victim_age = nullptr;
   };
 

@@ -39,6 +39,11 @@ class QueryContext {
   void Clear() { weights_.clear(); }
   size_t size() const { return weights_.size(); }
 
+  /// Every term -> w_{q,t} entry, in unspecified order.
+  const std::unordered_map<TermId, double>& weights() const {
+    return weights_;
+  }
+
  private:
   std::unordered_map<TermId, double> weights_;
 };

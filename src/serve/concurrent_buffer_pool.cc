@@ -310,6 +310,9 @@ buffer::FrameId ConcurrentBufferPool::EvictOneLocked() {
       }
       if (fallback == buffer::kInvalidFrame) return buffer::kInvalidFrame;
       candidate = fallback;
+      if (metrics_.victim_fallbacks != nullptr) {
+        metrics_.victim_fallbacks->Add(1);
+      }
     }
     const PageId victim_page = frames_[candidate].meta.page;
     Stripe& vs = StripeFor(victim_page.Pack());
@@ -600,6 +603,10 @@ void ConcurrentBufferPool::BindMetrics(obs::MetricsRegistry* registry,
       registry->AddCounter(prefix + ".misses", "fetches that went to disk");
   metrics_.evictions = registry->AddCounter(
       prefix + ".evictions", "pages pushed out of the pool");
+  metrics_.victim_fallbacks = registry->AddCounter(
+      prefix + ".victim_fallbacks",
+      "evictions of the oldest unpinned frame because the policy's victim "
+      "was pinned");
   metrics_.prefetch_issued = registry->AddCounter(
       prefix + ".prefetch_issued", "readahead reads completed into frames");
   metrics_.prefetch_used = registry->AddCounter(

@@ -402,6 +402,7 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* evictions = nullptr;
+    obs::Counter* victim_fallbacks = nullptr;
     obs::Counter* prefetch_issued = nullptr;
     obs::Counter* prefetch_used = nullptr;
     obs::Counter* prefetch_wasted = nullptr;

@@ -222,6 +222,8 @@ TEST(BufferManagerTest, FetchPagePointerIsOnlyValidUntilNextFetch) {
 TEST(BufferManagerTest, FetchPinnedProtectsThePageFromEviction) {
   auto disk = MakeTestDisk({4});
   BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
+  obs::MetricsRegistry registry;
+  bm.BindMetrics(&registry);
   auto pinned = bm.FetchPinned(PageId{0, 0});
   ASSERT_TRUE(pinned.ok());
   EXPECT_TRUE(pinned.value().was_miss());
@@ -238,6 +240,10 @@ TEST(BufferManagerTest, FetchPinnedProtectsThePageFromEviction) {
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));
   EXPECT_EQ(pinned.value().get(), raw);
   EXPECT_EQ(raw->id.page_no, 0u);
+  // The pinned page was LRU's victim every time: each eviction fell back.
+  EXPECT_GT(bm.stats().evictions, 0u);
+  EXPECT_EQ(registry.FindCounter("buffer.victim_fallbacks")->value(),
+            bm.stats().evictions);
 
   // The guard's destructor releases the pin; then page 0 is evictable.
   pinned.value().Release();

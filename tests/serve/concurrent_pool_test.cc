@@ -58,6 +58,8 @@ TEST(ConcurrentPoolTest, PinBlocksEvictionAndReleaseAllows) {
 TEST(ConcurrentPoolTest, PinnedPointerSurvivesEvictionPressure) {
   auto disk = MakeTestDisk({8});
   ConcurrentBufferPool pool(disk.get(), Opts(3));
+  obs::MetricsRegistry registry;
+  pool.BindMetrics(&registry);
 
   auto pinned = pool.FetchPinned(PageId{0, 0});
   ASSERT_TRUE(pinned.ok());
@@ -75,6 +77,9 @@ TEST(ConcurrentPoolTest, PinnedPointerSurvivesEvictionPressure) {
   EXPECT_EQ(pinned.value().get(), raw);
   EXPECT_EQ(raw->id.page_no, 0u);
   EXPECT_EQ(pool.PinCount(PageId{0, 0}), 1u);
+  // The pinned page was LRU's victim every time: each eviction fell back.
+  EXPECT_EQ(registry.FindCounter("buffer.victim_fallbacks")->value(),
+            pool.StatsSnapshot().evictions);
 }
 
 TEST(ConcurrentPoolTest, HitMissAttributionPerFetch) {
