@@ -415,14 +415,42 @@ void ConcurrentBufferPool::SetLoadState(uint64_t key,
 
 void ConcurrentBufferPool::Prefetch(buffer::PageAccessPlan plan) {
   if (options_.prefetch_depth == 0 || plan.empty()) return;
-  {
-    MutexLock lock(prefetch_mu_);
-    for (const PageId& id : plan) {
-      if (prefetch_queue_.size() >= prefetch_queue_cap_) break;
-      prefetch_queue_.push_back(id.Pack());
+  // Each probe holds only its stripe mutex and releases it before
+  // prefetch_mu_ is taken, so prefetch_mu_ stays a leaf. The per-thread
+  // scratch list is reused, so a hint allocates nothing once the list
+  // has grown to the longest plan.
+  thread_local std::vector<uint64_t> pending;
+  pending.clear();
+  uint64_t skipped = 0;
+  for (const PageId& id : plan) {
+    const uint64_t key = id.Pack();
+    Stripe& stripe = StripeFor(key);
+    {
+      MutexLock stripe_lock(stripe.mu);
+      if (stripe.pages.count(key) != 0 || stripe.loads.count(key) != 0) {
+        ++skipped;
+        continue;
+      }
     }
+    pending.push_back(key);
   }
-  prefetch_cv_.NotifyAll();
+  size_t queued = 0;
+  if (!pending.empty()) {
+    MutexLock lock(prefetch_mu_);
+    queued = std::min(pending.size(),
+                      prefetch_queue_cap_ - prefetch_queue_.size());
+    prefetch_queue_.insert(prefetch_queue_.end(), pending.begin(),
+                           pending.begin() + static_cast<ptrdiff_t>(queued));
+  }
+  // One wake per queued page: an idle pool of workers stays asleep.
+  for (size_t i = 0; i < std::min(queued, prefetch_workers_.size()); ++i) {
+    prefetch_cv_.NotifyOne();
+  }
+  if (metrics_.prefetch_hints_queued != nullptr) {
+    metrics_.prefetch_hints_queued->Add(queued);
+    metrics_.prefetch_hints_skipped->Add(skipped);
+    metrics_.prefetch_hints_dropped->Add(pending.size() - queued);
+  }
 }
 
 void ConcurrentBufferPool::PrefetchWorkerLoop() {
@@ -446,6 +474,8 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
   const uint64_t key = id.Pack();
   Stripe& stripe = StripeFor(key);
   {
+    // Prefetch filtered this page at the hint, but it can have become
+    // resident or started loading since: check again.
     MutexLock stripe_lock(stripe.mu);
     if (stripe.pages.count(key) != 0) return;  // Already resident.
     if (stripe.loads.count(key) != 0) return;  // Already in flight.
@@ -616,6 +646,15 @@ void ConcurrentBufferPool::BindMetrics(obs::MetricsRegistry* registry,
   metrics_.coalesced_misses = registry->AddCounter(
       prefix + ".coalesced_misses",
       "fetches that joined an in-flight load instead of reading");
+  metrics_.prefetch_hints_queued = registry->AddCounter(
+      prefix + ".prefetch_hints_queued",
+      "hinted pages queued for the readahead workers");
+  metrics_.prefetch_hints_skipped = registry->AddCounter(
+      prefix + ".prefetch_hints_skipped",
+      "hinted pages already resident or in flight at the hint");
+  metrics_.prefetch_hints_dropped = registry->AddCounter(
+      prefix + ".prefetch_hints_dropped",
+      "hinted pages dropped because the readahead queue was full");
 }
 
 }  // namespace irbuf::serve

@@ -51,12 +51,13 @@
 // loads' kReading device transfers are outstanding concurrently — page
 // n decodes while page n+1's read is in flight.
 //
-// Readahead (prefetch_depth > 0). Prefetch(plan) enqueues hinted pages
-// onto a bounded queue drained by prefetch_depth background I/O workers.
-// A readahead load runs the same FSM and the same resilient read path as
-// a demand miss (retry/backoff, breaker accounting, fault injection —
-// a faulted readahead read is silently dropped and the demand fetch
-// later degrades exactly as it would have without the hint). On success
+// Readahead (prefetch_depth > 0). Prefetch(plan) enqueues the hinted
+// pages that are neither resident nor in flight onto a bounded queue
+// drained by prefetch_depth background I/O workers. A readahead load
+// runs the same FSM and the same resilient read path as a demand miss
+// (retry/backoff, breaker accounting, fault injection — a faulted
+// readahead read is silently dropped and the demand fetch later
+// degrades exactly as it would have without the hint). On success
 // the page is published into an *unpinned, prefetch-tagged* frame: the
 // replacement policy is NOT told about the frame (no OnInsert), so
 // victim choice is undistorted until a demand fetch touches the page —
@@ -218,10 +219,16 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   size_t PrefetchDepth() const override { return options_.prefetch_depth; }
 
   /// Enqueues hinted pages for the background I/O workers. Pages
-  /// already resident or already in flight are skipped (at dequeue
-  /// time, so the hint path stays cheap); excess entries beyond the
-  /// queue bound are dropped — a plan is a hint, not a contract. No-op
-  /// when prefetch_depth == 0.
+  /// already resident or already in flight are skipped at the hint,
+  /// one stripe probe each, so they never reach the queue: on a fully
+  /// resident pool, queueing them woke workers only to find each page
+  /// resident, and that churn cost more evaluator CPU than the probes
+  /// do (DESIGN.md §13 has the measurements). The rest are queued under
+  /// one prefetch_mu_ acquisition, waking one worker per queued page;
+  /// entries beyond the queue bound are dropped — a plan is a hint, not
+  /// a contract. Every hinted page counts as exactly one of
+  /// buffer.prefetch_hints_{queued,skipped,dropped}. No-op when
+  /// prefetch_depth == 0.
   void Prefetch(buffer::PageAccessPlan plan) override
       IRBUF_EXCLUDES(prefetch_mu_);
 
@@ -249,11 +256,13 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   /// Resolves the buffer.* metric handles in `registry` (same names as
   /// BufferManager::BindMetrics, minus the victim-age histogram, plus
-  /// the prefetch.* readahead counters). Call before serving starts;
-  /// pass nullptr to unbind. `prefix` replaces the leading "buffer" of
-  /// every instrument name — the sharded pool binds its per-shard pools
-  /// as "shard0.buffer", "shard1.buffer", ... so shard hit rates are
-  /// individually observable in one registry.
+  /// the readahead counters prefetch_{issued,used,wasted},
+  /// coalesced_misses and prefetch_hints_{queued,skipped,dropped}).
+  /// Call before serving starts; pass nullptr to unbind. `prefix`
+  /// replaces the leading "buffer" of every instrument name — the
+  /// sharded pool binds its per-shard pools as "shard0.buffer",
+  /// "shard1.buffer", ... so shard hit rates are individually
+  /// observable in one registry.
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "buffer");
 
@@ -394,7 +403,8 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// Background I/O worker: drains prefetch_queue_ until shutdown.
   void PrefetchWorkerLoop();
 
-  /// Loads one hinted page end to end (dequeue side of Prefetch).
+  /// Loads one hinted page end to end (dequeue side of Prefetch),
+  /// unless it became resident or started loading after the hint.
   void PrefetchOne(PageId id);
 
   struct MetricHandles {
@@ -407,6 +417,9 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     obs::Counter* prefetch_used = nullptr;
     obs::Counter* prefetch_wasted = nullptr;
     obs::Counter* coalesced_misses = nullptr;
+    obs::Counter* prefetch_hints_queued = nullptr;
+    obs::Counter* prefetch_hints_skipped = nullptr;
+    obs::Counter* prefetch_hints_dropped = nullptr;
   };
 
   const storage::SimulatedDisk* disk_;
@@ -460,9 +473,9 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   /// Readahead plumbing. prefetch_mu_ is a leaf lock protecting only
   /// the hint queue + stop flag: Prefetch() enqueues under it and the
-  /// workers dequeue under it, but all actual load work (frame
-  /// reservation, I/O, publish) runs with it released, so the hint path
-  /// never serializes against the latch or a stripe.
+  /// workers dequeue under it, but the hint's stripe probes and all
+  /// actual load work (frame reservation, I/O, publish) run with it
+  /// released, so it never nests with the latch or a stripe.
   mutable Mutex prefetch_mu_;
   CondVar prefetch_cv_;
   std::deque<uint64_t> prefetch_queue_ IRBUF_GUARDED_BY(prefetch_mu_);

@@ -4,6 +4,9 @@
 // hint; every page still arrives through FetchPinned), and the
 // replacement policy's victim choices are undistorted by prefetch-tagged
 // frames it was never told about (no OnInsert until a demand touch).
+// The hint filter is pinned here too: resident pages never reach the
+// readahead queue, and every hinted page is counted as exactly one of
+// queued, skipped or dropped.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include "buffer/policy_factory.h"
 #include "core/filtering_evaluator.h"
 #include "fault/backoff.h"
+#include "obs/metrics.h"
 #include "serve/concurrent_buffer_pool.h"
 #include "util/zipf.h"
 
@@ -45,6 +49,22 @@ void WaitUntil(Pred pred, const char* what) {
     fault::SleepUs(1000);
   }
   FAIL() << "timed out waiting for " << what;
+}
+
+/// Asserts the pool's hint-outcome counters, and that they account for
+/// every hinted page exactly once.
+void ExpectHints(const obs::MetricsRegistry& registry, size_t hinted,
+                 uint64_t queued, uint64_t skipped, uint64_t dropped) {
+  const uint64_t q =
+      registry.FindCounter("buffer.prefetch_hints_queued")->value();
+  const uint64_t s =
+      registry.FindCounter("buffer.prefetch_hints_skipped")->value();
+  const uint64_t d =
+      registry.FindCounter("buffer.prefetch_hints_dropped")->value();
+  EXPECT_EQ(q, queued);
+  EXPECT_EQ(s, skipped);
+  EXPECT_EQ(d, dropped);
+  EXPECT_EQ(q + s + d, hinted);
 }
 
 // (a) Rankings are bit-identical with readahead on vs off, for every
@@ -232,6 +252,10 @@ TEST(PrefetchPolicyTest, WindowOverflowReclaimsOldestTaggedOnly) {
             "the whole plan to be read");
   WaitUntil([&] { return pool.PrefetchStatsSnapshot().wasted == 6; },
             "window overflow reclaims");
+  // wasted is counted before the observer runs, so the last append may
+  // still be in progress. Clearing the observer takes the pool latch the
+  // observer runs under, which orders every append before the reads.
+  pool.SetEvictionObserver(nullptr);
 
   // 10 readaheads through a 4-frame window: 6 reclaimed, oldest first,
   // every one a non-policy eviction.
@@ -243,6 +267,128 @@ TEST(PrefetchPolicyTest, WindowOverflowReclaimsOldestTaggedOnly) {
     EXPECT_FALSE(policy_victim) << "page " << id.page_no;
   }
   EXPECT_EQ(pool.ResidentPages(0), 4u);  // Exactly the window survives.
+}
+
+// A plan over a full, resident pool is filtered at the hint: nothing is
+// queued, so no I/O worker wakes and the device is never touched.
+TEST(PrefetchPolicyTest, ResidentPlanQueuesNothing) {
+  auto disk = buffer::MakeTestDisk({8});
+  ConcurrentPoolOptions opts;
+  opts.capacity = 8;
+  opts.prefetch_depth = 4;
+  obs::MetricsRegistry registry;  // Outlives the pool's I/O workers.
+  ConcurrentBufferPool pool(disk.get(), opts);
+  pool.BindMetrics(&registry);
+
+  std::vector<PageId> plan;
+  for (uint32_t p = 0; p < 8; ++p) {
+    plan.push_back(PageId{0, p});
+    ASSERT_TRUE(pool.FetchPinned(plan.back()).ok());  // Fills the pool.
+  }
+  const uint64_t reads_before = disk->stats().reads;
+
+  pool.Prefetch(buffer::PageAccessPlan(plan.data(), plan.size()));
+  ExpectHints(registry, plan.size(), /*queued=*/0, /*skipped=*/8,
+              /*dropped=*/0);
+  fault::SleepUs(20000);  // Time enough for a woken worker to read.
+  EXPECT_EQ(pool.PrefetchStatsSnapshot().issued, 0u);
+  EXPECT_EQ(disk->stats().reads, reads_before);
+}
+
+// A plan mixing resident and absent pages queues and reads exactly the
+// absent ones; the resident ones cost no device read.
+TEST(PrefetchPolicyTest, MixedPlanReadsOnlyAbsentPages) {
+  auto disk = buffer::MakeTestDisk({8});
+  ConcurrentPoolOptions opts;
+  opts.capacity = 16;
+  opts.prefetch_depth = 4;  // Window cap = min(8, 8) = 8: no reclaims.
+  obs::MetricsRegistry registry;  // Outlives the pool's I/O workers.
+  ConcurrentBufferPool pool(disk.get(), opts);
+  pool.BindMetrics(&registry);
+
+  for (uint32_t p = 0; p < 8; p += 2) {
+    ASSERT_TRUE(pool.FetchPinned(PageId{0, p}).ok());  // Even pages.
+  }
+  const uint64_t reads_before = disk->stats().reads;
+
+  std::vector<PageId> plan;
+  for (uint32_t p = 0; p < 8; ++p) plan.push_back(PageId{0, p});
+  pool.Prefetch(buffer::PageAccessPlan(plan.data(), plan.size()));
+  ExpectHints(registry, plan.size(), /*queued=*/4, /*skipped=*/4,
+              /*dropped=*/0);
+  WaitUntil([&] { return pool.PrefetchStatsSnapshot().issued == 4; },
+            "the absent pages to be read");
+  EXPECT_EQ(disk->stats().reads - reads_before, 4u);
+
+  // The odd pages are the ones read ahead: demanding them is all hits.
+  for (uint32_t p = 1; p < 8; p += 2) {
+    auto r = pool.FetchPinned(PageId{0, p});
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r.value().was_miss()) << "page " << p;
+  }
+  EXPECT_EQ(pool.PrefetchStatsSnapshot().used, 4u);
+  EXPECT_EQ(disk->stats().reads - reads_before, 4u);
+}
+
+// A plan longer than the queue bound counts its overflow as dropped, and
+// a dropped page is never read. With resident pages in the same plan,
+// all three outcomes occur at once.
+TEST(PrefetchPolicyTest, PlanPastQueueBoundCountsOverflowAsDropped) {
+  auto disk = buffer::MakeTestDisk({100});
+  ConcurrentPoolOptions opts;
+  opts.capacity = 16;
+  opts.prefetch_depth = 1;  // Queue bound = max(64, 8) = 64.
+  obs::MetricsRegistry registry;  // Outlives the pool's I/O workers.
+  ConcurrentBufferPool pool(disk.get(), opts);
+  pool.BindMetrics(&registry);
+
+  for (uint32_t p = 0; p < 4; ++p) {
+    ASSERT_TRUE(pool.FetchPinned(PageId{0, p}).ok());
+  }
+  const uint64_t reads_before = disk->stats().reads;
+
+  std::vector<PageId> plan;
+  for (uint32_t p = 0; p < 100; ++p) plan.push_back(PageId{0, p});
+  pool.Prefetch(buffer::PageAccessPlan(plan.data(), plan.size()));
+  ExpectHints(registry, plan.size(), /*queued=*/64, /*skipped=*/4,
+              /*dropped=*/32);
+  WaitUntil([&] { return pool.PrefetchStatsSnapshot().issued == 64; },
+            "the queued pages to be read");
+  fault::SleepUs(20000);  // Time enough for a stray read to land.
+  EXPECT_EQ(pool.PrefetchStatsSnapshot().issued, 64u);
+  EXPECT_EQ(disk->stats().reads - reads_before, 64u);
+}
+
+// Pages that pass the filter but find the queue already full are
+// dropped too.
+TEST(PrefetchPolicyTest, PlanIntoFullQueueCountsDropped) {
+  auto disk = buffer::MakeTestDisk({64, 8});
+  ConcurrentPoolOptions opts;
+  opts.capacity = 16;
+  opts.prefetch_depth = 1;  // Queue bound = 64, one worker.
+  // Each read holds the worker for 300 ms, so between the two hints
+  // below it dequeues at most one page.
+  opts.io_delay_us_per_miss = 300000;
+  obs::MetricsRegistry registry;  // Outlives the pool's I/O workers.
+  ConcurrentBufferPool pool(disk.get(), opts);
+  pool.BindMetrics(&registry);
+
+  std::vector<PageId> fill;
+  std::vector<PageId> more;
+  for (uint32_t p = 0; p < 64; ++p) fill.push_back(PageId{0, p});
+  for (uint32_t p = 0; p < 8; ++p) more.push_back(PageId{1, p});
+  pool.Prefetch(buffer::PageAccessPlan(fill.data(), fill.size()));
+  pool.Prefetch(buffer::PageAccessPlan(more.data(), more.size()));
+
+  const uint64_t queued =
+      registry.FindCounter("buffer.prefetch_hints_queued")->value();
+  const uint64_t dropped =
+      registry.FindCounter("buffer.prefetch_hints_dropped")->value();
+  EXPECT_GE(queued, 64u);
+  EXPECT_LE(queued, 65u);
+  EXPECT_EQ(registry.FindCounter("buffer.prefetch_hints_skipped")->value(),
+            0u);
+  EXPECT_EQ(queued + dropped, fill.size() + more.size());
 }
 
 }  // namespace
