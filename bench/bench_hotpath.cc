@@ -412,7 +412,7 @@ void BenchBufferFetchDecoded(bench::TelemetryFile* out) {
     }
   }
   for (PageId id : resident) {
-    if (!pool.FetchPage(id).ok()) std::abort();
+    if (!pool.FetchPinned(id).ok()) std::abort();
   }
   Pcg32 rng(99);
   std::vector<PageId> sequence(4096);

@@ -174,7 +174,7 @@ void BM_BufferFetch(benchmark::State& state) {
   for (auto _ : state) {
     TermId term = rng.NextBounded(8);
     uint32_t page = rng.NextBounded(index.lexicon().info(term).pages);
-    benchmark::DoNotOptimize(pool.FetchPage(PageId{term, page}));
+    benchmark::DoNotOptimize(pool.FetchPinned(PageId{term, page}));
   }
   state.SetLabel(buffer::PolicyKindName(kind));
 }

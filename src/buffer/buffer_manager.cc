@@ -22,12 +22,6 @@ BufferManager::BufferManager(const storage::SimulatedDisk* disk,
   policy_->Attach(this);
 }
 
-Result<const storage::Page*> BufferManager::FetchPage(PageId id) {
-  bool was_miss = false;
-  FrameId frame = kInvalidFrame;
-  return FetchInternal(id, &was_miss, &frame);
-}
-
 Result<PinnedPage> BufferManager::FetchPinned(PageId id) {
   bool was_miss = false;
   FrameId frame = kInvalidFrame;

@@ -46,17 +46,8 @@ class BufferManager final : public FrameDirectory, public BufferPool {
   BufferManager(const BufferManager&) = delete;
   BufferManager& operator=(const BufferManager&) = delete;
 
-  /// Returns the requested page WITHOUT pinning it, reading it from disk
-  /// on a miss (evicting a victim if the pool is full).
-  ///
-  /// LIFETIME HAZARD: the returned pointer is only valid until the next
-  /// FetchPage/FetchPinned or Flush call — the next fetch may evict this
-  /// page and recycle its frame in place. Callers that hold a page across
-  /// another fetch must use FetchPinned instead; the evaluators in core/
-  /// do exactly that.
-  Result<const storage::Page*> FetchPage(PageId id);
-
-  /// BufferPool: like FetchPage, but the page stays pinned (ineligible
+  /// BufferPool: returns the requested page, reading it from disk on a
+  /// miss (evicting a victim if the pool is full), pinned (ineligible
   /// for eviction) until the returned guard is released. Pinned frames
   /// are skipped during victim selection: when the policy's choice is
   /// pinned, the oldest-inserted unpinned frame is evicted instead, and
@@ -157,8 +148,8 @@ class BufferManager final : public FrameDirectory, public BufferPool {
   // BufferPool:
   void Unpin(uint32_t frame) override;
 
-  /// Shared fetch path; `*was_miss` reports the hit/miss outcome and
-  /// `*frame_out` the frame the page landed in.
+  /// FetchPinned's fetch before the pin; `*was_miss` reports the
+  /// hit/miss outcome and `*frame_out` the frame the page landed in.
   Result<const storage::Page*> FetchInternal(PageId id, bool* was_miss,
                                              FrameId* frame_out);
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "core/scorer.h"
+#include "core/term_scheduler.h"
 #include "core/top_n.h"
-#include "fault/backoff.h"
 
 namespace irbuf::core {
 
@@ -240,15 +240,6 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
   return Status::OK();
 }
 
-void FilteringEvaluator::ForfeitTerm(const QueryTerm& qt,
-                                     EvalResult* result) const {
-  // A whole term cut off by the deadline: any one document could have
-  // gained at most w(fmax, idf) * w_{q,t} from it.
-  const index::TermInfo& info = index_->lexicon().info(qt.term);
-  result->quality_bound +=
-      DocTermWeight(info.fmax, info.idf) * QueryTermWeight(qt.fq, info.idf);
-}
-
 void FilteringEvaluator::TermwiseRun::Begin(const Query& query,
                                             const EvalControl* control) {
   if (control != nullptr) {
@@ -279,10 +270,6 @@ FilteringEvaluator::TermwiseRun::Step(const QueryTerm& qt, double smax_in) {
   return outcome;
 }
 
-void FilteringEvaluator::TermwiseRun::Forfeit(const QueryTerm& qt) {
-  evaluator_->ForfeitTerm(qt, &result_);
-}
-
 EvalResult FilteringEvaluator::TermwiseRun::Finish() {
   {
     obs::ScopedSpan merge_span(evaluator_->options_.span_recorder,
@@ -299,140 +286,29 @@ EvalResult FilteringEvaluator::TermwiseRun::Finish() {
 Result<EvalResult> FilteringEvaluator::Evaluate(
     const Query& query, buffer::BufferPool* buffers,
     const EvalControl* control) const {
-  EvalResult result;
-  if (query.empty()) return result;
-
-  // Deadline probe, read at term boundaries only (a handful of clock
-  // reads per query; a hit deadline never tears a term mid-list).
-  const auto deadline_passed = [control]() {
-    if (control == nullptr || control->deadline_us == 0) return false;
-    uint64_t (*clock)() = control->now_us != nullptr
-                              ? control->now_us
-                              : &fault::MonotonicNowUs;
-    return clock() >= control->deadline_us;
-  };
+  if (query.empty()) return EvalResult{};
 
   // Ranking-aware replacement sees the new query's weights before any page
   // of this evaluation is touched.
-  {
-    obs::ScopedSpan snapshot_span(options_.span_recorder,
-                                  obs::SpanStage::kContextSnapshot);
-    buffers->SetQueryContext(BuildQueryContext(query, index_->lexicon()));
-  }
-
+  TermwiseRun run(this, buffers);
+  run.Begin(query, control);
   obs::QueryTracer* const tracer = options_.tracer;
   if (tracer != nullptr) tracer->BeginQuery(query.size());
 
-  AccumulatorSet accumulators;
-  double smax = 0.0;
+  Result<double> smax = ScheduleTerms(
+      query, index_->lexicon(), index_->conversion_table(), options_, control,
+      [buffers](TermId term) { return buffers->ResidentPages(term); },
+      [&run](const QueryTerm& qt, double* term_smax) -> Result<bool> {
+        Result<TermwiseRun::StepOutcome> outcome = run.Step(qt, *term_smax);
+        if (!outcome.ok()) return outcome.status();
+        *term_smax = outcome.value().smax;
+        return true;
+      },
+      run.mutable_result());
+  if (!smax.ok()) return smax.status();
 
-  if (!options_.buffer_aware) {
-    // --- DF: fixed decreasing-idf order. ---
-    const std::vector<QueryTerm> order =
-        DfTermOrder(query, index_->lexicon());
-    for (size_t i = 0; i < order.size(); ++i) {
-      // Brownout rung 1: the term budget cuts the low-idf tail (DF
-      // order puts the highest-impact terms first).
-      if (control != nullptr && control->max_terms > 0 &&
-          i >= control->max_terms) {
-        result.work_trimmed = true;
-        for (size_t j = i; j < order.size(); ++j) {
-          ForfeitTerm(order[j], &result);
-        }
-        break;
-      }
-      if (deadline_passed()) {
-        result.deadline_hit = true;
-        for (size_t j = i; j < order.size(); ++j) {
-          ForfeitTerm(order[j], &result);
-        }
-        break;
-      }
-      IRBUF_RETURN_NOT_OK(ProcessTerm(order[i], buffers, &accumulators,
-                                      &smax, &result, control));
-    }
-  } else {
-    // --- BAF: per round, pick the unmarked term with the fewest estimated
-    // disk reads (step 3a of Figure 2). ---
-    struct Candidate {
-      QueryTerm qt;
-      double cached_smax = -1.0;  // Smax at which fadd/pt were computed.
-      double f_add = 0.0;
-      uint32_t pt = 0;
-      bool done = false;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(query.size());
-    for (const QueryTerm& qt : query.terms()) {
-      candidates.push_back(Candidate{qt, -1.0, 0.0, 0, false});
-    }
-
-    const index::Lexicon& lexicon = index_->lexicon();
-    const index::ConversionTable& table = index_->conversion_table();
-
-    for (size_t round = 0; round < candidates.size(); ++round) {
-      // Brownout rung 1 for BAF: the budget caps rounds; the unmarked
-      // remainder is forfeited. BAF picks cheap-read terms first, so
-      // the cut falls on the most expensive lists.
-      if (control != nullptr && control->max_terms > 0 &&
-          round >= control->max_terms) {
-        result.work_trimmed = true;
-        for (const Candidate& cand : candidates) {
-          if (!cand.done) ForfeitTerm(cand.qt, &result);
-        }
-        break;
-      }
-      if (deadline_passed()) {
-        result.deadline_hit = true;
-        for (const Candidate& cand : candidates) {
-          if (!cand.done) ForfeitTerm(cand.qt, &result);
-        }
-        break;
-      }
-      Candidate* best = nullptr;
-      uint32_t best_dt = 0;
-      double best_idf = 0.0;
-      for (Candidate& cand : candidates) {
-        if (cand.done) continue;
-        const index::TermInfo& info = lexicon.info(cand.qt.term);
-        // f_add and p_t change only when Smax has changed since they were
-        // last computed (the caching optimization of Section 3.2.2).
-        if (cand.cached_smax != smax) {
-          cand.f_add = ComputeThresholds(options_.c_ins, options_.c_add,
-                                         smax, cand.qt.fq, info.idf)
-                           .f_add;
-          cand.pt = table.PagesToProcess(cand.qt.term, cand.f_add,
-                                         info.pages, info.fmax);
-          cand.cached_smax = smax;
-        }
-        // b_t from the buffer manager's residency counters (step 3a.iii).
-        const uint32_t bt = buffers->ResidentPages(cand.qt.term);
-        const uint32_t dt = cand.pt > bt ? cand.pt - bt : 0;
-        if (best == nullptr || dt < best_dt ||
-            (dt == best_dt && (info.idf > best_idf ||
-                               (info.idf == best_idf &&
-                                cand.qt.term < best->qt.term)))) {
-          best = &cand;
-          best_dt = dt;
-          best_idf = info.idf;
-        }
-      }
-      best->done = true;
-      IRBUF_RETURN_NOT_OK(ProcessTerm(best->qt, buffers, &accumulators,
-                                      &smax, &result, control));
-    }
-  }
-
-  // Steps 5-6: normalize by W_d and keep the n best.
-  {
-    obs::ScopedSpan merge_span(options_.span_recorder,
-                               obs::SpanStage::kTopKMerge);
-    result.top_docs = SelectTopN(accumulators, *index_, options_.top_n);
-  }
-  result.accumulators = accumulators.size();
-  result.degraded = result.pages_lost > 0 || result.deadline_hit ||
-                    result.work_trimmed || result.shards_lost > 0;
-  if (tracer != nullptr) tracer->EndQuery(smax, result.accumulators);
+  EvalResult result = run.Finish();
+  if (tracer != nullptr) tracer->EndQuery(smax.value(), result.accumulators);
   return result;
 }
 

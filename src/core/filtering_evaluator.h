@@ -175,9 +175,8 @@ struct EvalResult {
 
 /// DF's static processing order (step 3 of Figure 1): decreasing idf_t,
 /// i.e. shortest inverted lists first; ties broken by list length then
-/// term id for determinism. Exposed so a sharded coordinator can drive
-/// every shard through the exact order the unsharded evaluator uses —
-/// the first ingredient of the sharded/unsharded ranking identity.
+/// term id for determinism. The term scheduler walks it for DF, and
+/// QUIT/CONTINUE uses the same order.
 std::vector<QueryTerm> DfTermOrder(const Query& query,
                                    const index::Lexicon& lexicon);
 
@@ -189,15 +188,16 @@ class FilteringEvaluator {
   FilteringEvaluator(const index::InvertedIndex* index, EvalOptions options)
       : index_(index), options_(options) {}
 
-  /// Externally-driven evaluation of ONE query, one term at a time: the
-  /// stepped counterpart of Evaluate() for coordinators that own the
-  /// term order themselves (the sharded scatter-gather engine). The
-  /// caller supplies Smax at every term boundary, which is exactly the
-  /// granularity at which Evaluate() consults it — ProcessTerm computes
-  /// f_ins/f_add once per term from Smax-at-term-start and only ever
-  /// *raises* Smax mid-term — so driving N disjoint-doc-range shards
-  /// through the same term order with the globally-maxed Smax
-  /// reproduces the unsharded threshold trajectory bit-for-bit.
+  /// Evaluation of ONE query against one pool: Begin, one Step per term
+  /// the term scheduler (core/term_scheduler.h) picks, then Finish.
+  /// Evaluate() is that sequence; the sharded engine runs one run per
+  /// shard under the same scheduler. The caller supplies Smax at every
+  /// term boundary, which is exactly the granularity at which it is
+  /// consulted — ProcessTerm computes f_ins/f_add once per term from
+  /// Smax-at-term-start and only ever *raises* Smax mid-term — so
+  /// driving N disjoint-doc-range shards through the same term order
+  /// with the globally-maxed Smax reproduces the unsharded threshold
+  /// trajectory bit-for-bit.
   ///
   /// Not thread-safe; a run belongs to one query. Steps may come from
   /// different threads as long as they are externally serialized with
@@ -212,14 +212,13 @@ class FilteringEvaluator {
     TermwiseRun(TermwiseRun&&) = default;
     TermwiseRun& operator=(TermwiseRun&&) = delete;
 
-    /// Installs the query's replacement context on the pool (same call
-    /// Evaluate() opens with; a no-op under an attached shared context)
-    /// and remembers `control` (may be null) for Step's per-term page
-    /// budget. The control is copied BY VALUE into the run: an
-    /// abandoned-straggler Step may execute after the coordinator's
-    /// Evaluate returned, so it must never dereference caller-stack
-    /// state. Term-level controls (deadline, max_terms) stay with the
-    /// coordinator, which owns the term order.
+    /// Installs the query's replacement context on the pool (a no-op
+    /// under an attached shared context) and remembers `control` (may
+    /// be null) for Step's per-term page budget. The control is copied
+    /// BY VALUE into the run: an abandoned-straggler Step may execute
+    /// after the coordinator's Evaluate returned, so it must never
+    /// dereference caller-stack state. Term-level controls (deadline,
+    /// max_terms) belong to the term scheduler, which owns the order.
     void Begin(const Query& query, const EvalControl* control = nullptr);
 
     struct StepOutcome {
@@ -239,9 +238,9 @@ class FilteringEvaluator {
     /// logic errors propagate (and poison the run).
     Result<StepOutcome> Step(const QueryTerm& qt, double smax_in);
 
-    /// Adds `qt`'s maximum possible single-document contribution to the
-    /// quality bound (a term forfeited to the coordinator's deadline).
-    void Forfeit(const QueryTerm& qt);
+    /// The result accumulated so far; the term scheduler charges the
+    /// terms it cuts here before Finish.
+    EvalResult* mutable_result() { return &result_; }
 
     /// Normalizes and selects this run's top n (steps 5-6) and returns
     /// the accumulated result. The run is spent afterwards.
@@ -258,17 +257,20 @@ class FilteringEvaluator {
     EvalResult result_;
   };
 
-  /// Runs one query. The buffer pool's contents persist across calls —
-  /// that persistence is exactly what refinement workloads exercise.
-  /// Pages are accessed through the pin/unpin protocol (one page pinned
-  /// at a time), so the same evaluator code runs unchanged against the
-  /// single-threaded BufferManager and the concurrent serving pool.
+  /// Runs one query as a TermwiseRun over `buffers`, with b_t from the
+  /// pool's residency counters. The buffer pool's contents persist
+  /// across calls — that persistence is exactly what refinement
+  /// workloads exercise. Pages are accessed through the pin/unpin
+  /// protocol (one page pinned at a time), so the same evaluator code
+  /// runs unchanged against the single-threaded BufferManager and the
+  /// concurrent serving pool.
   ///
   /// Device-level read failures (kUnavailable, kCorrupted, kIOError —
   /// retries already exhausted below the pool) degrade the result
   /// instead of failing it: see EvalResult's degradation fields.
   /// Logic errors (kResourceExhausted, kNotFound, ...) still propagate.
-  /// `control` (optional) imposes a deadline; pass nullptr for none.
+  /// `control` (optional) imposes a deadline and work budgets; pass
+  /// nullptr for none.
   Result<EvalResult> Evaluate(const Query& query,
                               buffer::BufferPool* buffers,
                               const EvalControl* control = nullptr) const;
@@ -282,10 +284,6 @@ class FilteringEvaluator {
   Status ProcessTerm(const QueryTerm& qt, buffer::BufferPool* buffers,
                      AccumulatorSet* accumulators, double* smax,
                      EvalResult* result, const EvalControl* control) const;
-
-  /// Adds term `qt`'s maximum possible single-document contribution to
-  /// the quality bound (deadline-skipped terms).
-  void ForfeitTerm(const QueryTerm& qt, EvalResult* result) const;
 
   const index::InvertedIndex* index_;
   EvalOptions options_;

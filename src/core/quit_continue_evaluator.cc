@@ -1,7 +1,5 @@
 #include "core/quit_continue_evaluator.h"
 
-#include <algorithm>
-
 #include "core/accumulator_set.h"
 #include "core/scorer.h"
 #include "core/top_n.h"
@@ -16,15 +14,8 @@ Result<EvalResult> QuitContinueEvaluator::Evaluate(
   buffers->SetQueryContext(BuildQueryContext(query, index_->lexicon()));
 
   // Decreasing-idf order, as in DF's step 3.
-  std::vector<QueryTerm> order = query.terms();
   const index::Lexicon& lexicon = index_->lexicon();
-  std::sort(order.begin(), order.end(),
-            [&lexicon](const QueryTerm& a, const QueryTerm& b) {
-              const index::TermInfo& ia = lexicon.info(a.term);
-              const index::TermInfo& ib = lexicon.info(b.term);
-              if (ia.idf != ib.idf) return ia.idf > ib.idf;
-              return a.term < b.term;
-            });
+  const std::vector<QueryTerm> order = DfTermOrder(query, lexicon);
 
   AccumulatorSet accumulators;
   bool quit = false;

@@ -27,14 +27,6 @@ ShardedBufferPool::ShardedBufferPool(const ShardedIndex* index,
   }
 }
 
-uint32_t ShardedBufferPool::ResidentPagesTotal(TermId term) const {
-  uint32_t total = 0;
-  for (const std::unique_ptr<serve::ConcurrentBufferPool>& pool : pools_) {
-    total += pool->ResidentPages(term);
-  }
-  return total;
-}
-
 buffer::BufferStats ShardedBufferPool::AggregateStats() const {
   buffer::BufferStats total;
   for (const std::unique_ptr<serve::ConcurrentBufferPool>& pool : pools_) {

@@ -69,11 +69,6 @@ class ShardedBufferPool {
     return pools_[s].get();
   }
 
-  /// Aggregate b_t over every shard pool — the global residency the
-  /// coordinator's BAF ordering consults. Relaxed-atomic sums, same
-  /// racy-but-honest contract as a single pool's ResidentPages.
-  uint32_t ResidentPagesTotal(TermId term) const;
-
   /// Sums fetches/hits/misses/evictions over the shard pools. The
   /// fetches == hits + misses conservation survives summation.
   buffer::BufferStats AggregateStats() const;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/scorer.h"
+#include "core/term_scheduler.h"
 #include "fault/backoff.h"
 #include "shard/scatter_gather.h"
 #include "util/str.h"
@@ -197,13 +198,6 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
-void ShardedEngine::ForfeitGlobal(const core::QueryTerm& qt,
-                                  core::EvalResult* merged) const {
-  const index::TermInfo& info = index_->lexicon().info(qt.term);
-  merged->quality_bound += core::DocTermWeight(info.fmax, info.idf) *
-                           core::QueryTermWeight(qt.fq, info.idf);
-}
-
 double ShardedEngine::LostShardTermBound(size_t shard,
                                          const core::QueryTerm& qt) const {
   // Every shard-local page of the term's list could have contributed at
@@ -323,31 +317,19 @@ Result<core::EvalResult> ShardedEngine::Evaluate(
     return live;
   };
 
-  // Deadline probe at term boundaries, identical to the unsharded
-  // evaluator's: a hit deadline never tears a term mid-barrier.
-  const auto deadline_passed = [control]() {
-    if (control == nullptr || control->deadline_us == 0) return false;
-    uint64_t (*clock)() = control->now_us != nullptr
-                              ? control->now_us
-                              : &fault::MonotonicNowUs;
-    return clock() >= control->deadline_us;
-  };
-
-  double smax = 0.0;
   struct SmaxSpan {
     double before;
     double after;
   };
   std::vector<SmaxSpan> trajectory;  // Per executed term (trace merge).
-  size_t executed_terms = 0;
 
   // One term across the live shards: breaker admission, post one Step
   // per live shard, timed barrier, straggler forfeiture, breaker
   // feedback, cross-shard Smax max. Dead shards are excluded from the
   // barrier AND from the aggregate, so a forfeited shard contributes
   // neither staleness nor deadlock.
-  const auto step_all = [&](const core::QueryTerm& qt, double* new_smax,
-                            bool* all_skipped) -> Status {
+  const auto step_all = [&](const core::QueryTerm& qt,
+                            double* smax) -> Result<bool> {
     // Breaker admission: a shard whose breaker rejects the request is
     // forfeited before any work is posted. A half-open breaker admits
     // exactly one query's step as its probe; everyone else degrades.
@@ -361,26 +343,25 @@ Result<core::EvalResult> ShardedEngine::Evaluate(
     }
 
     const size_t live = live_count();
-    if (live == 0) return Status::OK();  // Caller breaks out.
+    if (live == 0) return false;  // Every shard already charged.
+    const double smax_in = *smax;
     auto fan = std::make_shared<FanOut>(num_shards, live);
     for (size_t s = 0; s < num_shards; ++s) {
       if (dead[s] != 0) continue;
       core::FilteringEvaluator::TermwiseRun* run = &shared->runs[s];
-      lanes_[s]->Post(
-          [fan, shared, s, run, qt, spans, query_id, smax_in = smax] {
-            if (spans != nullptr) spans->SetCurrentQuery(query_id);
-            fan->Complete(s, run->Step(qt, smax_in));
-            if (spans != nullptr) {
-              spans->SetCurrentQuery(obs::SpanRecorder::kNoQuery);
-            }
-          });
+      lanes_[s]->Post([fan, shared, s, run, qt, spans, query_id, smax_in] {
+        if (spans != nullptr) spans->SetCurrentQuery(query_id);
+        fan->Complete(s, run->Step(qt, smax_in));
+        if (spans != nullptr) {
+          spans->SetCurrentQuery(obs::SpanRecorder::kNoQuery);
+        }
+      });
     }
     (void)fan->Wait(options_.shard_step_soft_deadline_us);
 
     const std::vector<FanOut::Slot> slots = fan->Snapshot();
-    double agg_smax = smax;
+    double agg_smax = smax_in;
     bool agg_skipped = true;
-    size_t completed_live = 0;
     Status first_error;  // Deferred: breaker accounting must finish.
     for (size_t s = 0; s < num_shards; ++s) {
       if (dead[s] != 0) continue;  // Was not posted this term.
@@ -413,125 +394,34 @@ Result<core::EvalResult> ShardedEngine::Evaluate(
         if (first_error.ok()) first_error = slot.status;
         continue;
       }
-      ++completed_live;
       agg_smax = std::max(agg_smax, slot.outcome.smax);
       agg_skipped = agg_skipped && slot.outcome.skipped;
     }
     if (!first_error.ok()) return first_error;
-    *new_smax = agg_smax;
-    *all_skipped = completed_live > 0 && agg_skipped;
-    return Status::OK();
+    if (live_count() == 0) return false;  // Every live shard straggled.
+    trajectory.push_back(SmaxSpan{smax_in, agg_smax});
+    *smax = agg_smax;
+    if (agg_skipped) ++merged.terms_skipped;
+    return true;
   };
 
-  if (!options_.eval.buffer_aware) {
-    // --- DF: the unsharded evaluator's static order, verbatim. ---
-    const std::vector<core::QueryTerm> order =
-        core::DfTermOrder(query, lexicon);
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (live_count() == 0) break;  // Every shard already charged.
-      if (control != nullptr && control->max_terms > 0 &&
-          i >= control->max_terms) {
-        merged.work_trimmed = true;
-        for (size_t j = i; j < order.size(); ++j) {
-          ForfeitGlobal(order[j], &merged);
-        }
-        break;
-      }
-      if (deadline_passed()) {
-        merged.deadline_hit = true;
-        for (size_t j = i; j < order.size(); ++j) {
-          ForfeitGlobal(order[j], &merged);
-        }
-        break;
-      }
-      double new_smax = 0.0;
-      bool all_skipped = false;
-      IRBUF_RETURN_NOT_OK(step_all(order[i], &new_smax, &all_skipped));
-      if (live_count() == 0) break;
-      trajectory.push_back(SmaxSpan{smax, new_smax});
-      smax = new_smax;
-      if (all_skipped) ++merged.terms_skipped;
-      ++executed_terms;
-    }
-  } else {
-    // --- BAF rounds from GLOBAL statistics: thresholds and p_t from
-    // the global lexicon + conversion table (Section 3.2.2's caching),
-    // b_t as the LIVE shard pools' aggregated residency. ---
-    struct Candidate {
-      core::QueryTerm qt;
-      double cached_smax = -1.0;
-      double f_add = 0.0;
-      uint32_t pt = 0;
-      bool done = false;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(query.size());
-    for (const core::QueryTerm& qt : query.terms()) {
-      candidates.push_back(Candidate{qt, -1.0, 0.0, 0, false});
-    }
-    const index::ConversionTable& table = index_->conversion_table();
-
-    for (size_t round = 0; round < candidates.size(); ++round) {
-      if (live_count() == 0) break;  // Every shard already charged.
-      if (control != nullptr && control->max_terms > 0 &&
-          round >= control->max_terms) {
-        merged.work_trimmed = true;
-        for (const Candidate& cand : candidates) {
-          if (!cand.done) ForfeitGlobal(cand.qt, &merged);
-        }
-        break;
-      }
-      if (deadline_passed()) {
-        merged.deadline_hit = true;
-        for (const Candidate& cand : candidates) {
-          if (!cand.done) ForfeitGlobal(cand.qt, &merged);
-        }
-        break;
-      }
-      Candidate* best = nullptr;
-      uint32_t best_dt = 0;
-      double best_idf = 0.0;
-      for (Candidate& cand : candidates) {
-        if (cand.done) continue;
-        const index::TermInfo& info = lexicon.info(cand.qt.term);
-        if (cand.cached_smax != smax) {
-          cand.f_add =
-              core::ComputeThresholds(options_.eval.c_ins,
-                                      options_.eval.c_add, smax,
-                                      cand.qt.fq, info.idf)
-                  .f_add;
-          cand.pt = table.PagesToProcess(cand.qt.term, cand.f_add,
-                                         info.pages, info.fmax);
-          cand.cached_smax = smax;
-        }
-        // b_t over live shards only: a dead shard's resident pages are
-        // unreachable for this query, so counting them would starve the
-        // ordering of exactly the reads it still has to do.
+  // The term loop itself is the unsharded evaluator's, over GLOBAL
+  // statistics: thresholds and p_t from the global lexicon and
+  // conversion table, b_t summed over the LIVE shard pools only — a
+  // dead shard's resident pages are unreachable for this query, so
+  // counting them would starve the ordering of the reads it still has
+  // to do.
+  Result<double> scheduled = core::ScheduleTerms(
+      query, lexicon, index_->conversion_table(), options_.eval, control,
+      [this, &dead, num_shards](TermId term) {
         uint32_t bt = 0;
         for (size_t s = 0; s < num_shards; ++s) {
-          if (dead[s] == 0) bt += pool_.shard(s)->ResidentPages(cand.qt.term);
+          if (dead[s] == 0) bt += pool_.shard(s)->ResidentPages(term);
         }
-        const uint32_t dt = cand.pt > bt ? cand.pt - bt : 0;
-        if (best == nullptr || dt < best_dt ||
-            (dt == best_dt && (info.idf > best_idf ||
-                               (info.idf == best_idf &&
-                                cand.qt.term < best->qt.term)))) {
-          best = &cand;
-          best_dt = dt;
-          best_idf = info.idf;
-        }
-      }
-      best->done = true;
-      double new_smax = 0.0;
-      bool all_skipped = false;
-      IRBUF_RETURN_NOT_OK(step_all(best->qt, &new_smax, &all_skipped));
-      if (live_count() == 0) break;
-      trajectory.push_back(SmaxSpan{smax, new_smax});
-      smax = new_smax;
-      if (all_skipped) ++merged.terms_skipped;
-      ++executed_terms;
-    }
-  }
+        return bt;
+      },
+      step_all, &merged);
+  if (!scheduled.ok()) return scheduled.status();
 
   // Gather: per-shard normalization + top-k selection runs on the
   // lanes (it walks shard-local accumulators), then the coordinator
@@ -599,8 +489,8 @@ Result<core::EvalResult> ShardedEngine::Evaluate(
       }
     }
     if (first_live < num_shards) {
-      merged.trace.reserve(executed_terms);
-      for (size_t i = 0; i < executed_terms; ++i) {
+      merged.trace.reserve(trajectory.size());
+      for (size_t i = 0; i < trajectory.size(); ++i) {
         core::TermTrace trace = partials[first_live].trace[i];
         trace.total_pages = 0;
         trace.pages_processed = 0;

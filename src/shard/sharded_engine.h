@@ -5,17 +5,21 @@
 //
 // Why sharded == unsharded, bit for bit:
 //
-//  1. Term order is decided by the COORDINATOR from global statistics —
-//     DF's static decreasing-idf order verbatim (core::DfTermOrder over
-//     the global lexicon); BAF's rounds from the global conversion
-//     table, global lexicon and the shard pools' aggregated residency.
+//  1. The term order, the term budget, the deadline probe and the
+//     forfeit of cut terms are ONE function, core::ScheduleTerms, which
+//     the unsharded evaluator runs as well. The coordinator feeds it the
+//     global lexicon and conversion table, b_t summed over the live
+//     shard pools, and a step that fans the term out to every live
+//     shard. DF's order is therefore the unsharded order by
+//     construction, and BAF's rounds can differ only through b_t.
 //  2. Thresholds depend on state only through Smax AT TERM START
 //     (ProcessTerm computes f_ins/f_add once per term and only raises
-//     Smax mid-term). The barrier exchanges per-shard Smax values at
-//     every term boundary and takes the max; accumulators are disjoint
-//     across shards (a doc lives in one shard), so max over shards of
-//     the per-shard running max IS the unsharded running max, and every
-//     shard enters the next term with the exact unsharded Smax.
+//     Smax mid-term). The fan-out step is a barrier that hands the
+//     scheduler the max of the per-shard Smax values; accumulators are
+//     disjoint across shards (a doc lives in one shard), so max over
+//     shards of the per-shard running max IS the unsharded running max,
+//     and every shard enters the next term with the exact unsharded
+//     Smax.
 //  3. Within a shard, postings are processed in the source order
 //     restricted to the shard's doc range (doc-range filtering
 //     preserves list order), so each document's accumulator sees the
@@ -190,12 +194,6 @@ class ShardedEngine final : public serve::QueryEngine {
   void BindMetrics(obs::MetricsRegistry* registry);
 
  private:
-  /// Adds `qt`'s maximum possible single-document contribution (from
-  /// GLOBAL fmax/idf — the same number the unsharded evaluator uses) to
-  /// the quality bound of a deadline-forfeited term.
-  void ForfeitGlobal(const core::QueryTerm& qt,
-                     core::EvalResult* merged) const;
-
   /// Marks `shard` dead for the rest of this query and charges its
   /// whole possible contribution (every query term's shard-local page
   /// bound) to the merged result.

@@ -44,7 +44,7 @@ Result<std::vector<RankedTerm>> RankTermsByContribution(
     double sum = 0.0;
     for (uint32_t page_no = 0; page_no < info.pages; ++page_no) {
       // Pinned access like the evaluators: one page pinned at a time,
-      // released before the next fetch (raw-fetch lint contract).
+      // released before the next fetch.
       Result<buffer::PinnedPage> page =
           scratch.FetchPinned(PageId{qt.term, page_no});
       if (!page.ok()) return page.status();

@@ -16,9 +16,9 @@ TEST(BufferManagerTest, HitAndMissAccounting) {
   auto disk = MakeTestDisk({3});
   BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
 
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Miss.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Hit.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());  // Miss.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Miss.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Hit.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // Miss.
   EXPECT_EQ(bm.stats().fetches, 3u);
   EXPECT_EQ(bm.stats().hits, 1u);
   EXPECT_EQ(bm.stats().misses, 2u);
@@ -31,9 +31,9 @@ TEST(BufferManagerTest, HitAndMissAccounting) {
 TEST(BufferManagerTest, EvictsWhenFull) {
   auto disk = MakeTestDisk({3});
   BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Evicts page 0 (LRU).
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Evicts page 0 (LRU).
   EXPECT_EQ(bm.stats().evictions, 1u);
   EXPECT_FALSE(bm.Contains(PageId{0, 0}));
   EXPECT_TRUE(bm.Contains(PageId{0, 1}));
@@ -43,7 +43,7 @@ TEST(BufferManagerTest, EvictsWhenFull) {
 TEST(BufferManagerTest, ReturnedPageContentIsCorrect) {
   auto disk = MakeTestDisk({2});
   BufferManager bm(disk.get(), 1, std::make_unique<LruPolicy>());
-  auto page = bm.FetchPage(PageId{0, 1});
+  auto page = bm.FetchPinned(PageId{0, 1});
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page.value()->id, (PageId{0, 1}));
   EXPECT_EQ(page.value()->block.size(), 2u);
@@ -54,34 +54,34 @@ TEST(BufferManagerTest, ResidencyCountersTrackTerms) {
   auto disk = MakeTestDisk({3, 2});
   BufferManager bm(disk.get(), 4, std::make_unique<LruPolicy>());
   EXPECT_EQ(bm.ResidentPages(0), 0u);
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());
   EXPECT_EQ(bm.ResidentPages(0), 2u);
   EXPECT_EQ(bm.ResidentPages(1), 1u);
   EXPECT_EQ(bm.ResidentPages(99), 0u);
 
   // Refetching a resident page does not change counters.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
   EXPECT_EQ(bm.ResidentPages(0), 2u);
 
   // Filling the pool evicts term 0's LRU page (0,1 was least recent).
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 1}).ok());  // Pool now full; evict.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 1}).ok());  // Pool now full; evict.
   EXPECT_EQ(bm.ResidentPages(0) + bm.ResidentPages(1), 4u);
 }
 
 TEST(BufferManagerTest, FlushEmptiesEverything) {
   auto disk = MakeTestDisk({3});
   BufferManager bm(disk.get(), 3, std::make_unique<LruPolicy>());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
   bm.Flush();
   EXPECT_FALSE(bm.Contains(PageId{0, 0}));
   EXPECT_EQ(bm.ResidentPages(0), 0u);
   EXPECT_TRUE(bm.ResidentPageIds().empty());
   // Fetch after flush is a miss again.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
   EXPECT_EQ(bm.stats().misses, 3u);
 }
 
@@ -89,15 +89,15 @@ TEST(BufferManagerTest, CapacityZeroClampsToOne) {
   auto disk = MakeTestDisk({2});
   BufferManager bm(disk.get(), 0, std::make_unique<LruPolicy>());
   EXPECT_EQ(bm.capacity(), 1u);
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
   EXPECT_EQ(bm.stats().evictions, 1u);
 }
 
 TEST(BufferManagerTest, MissingPagePropagatesError) {
   auto disk = MakeTestDisk({1});
   BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
-  auto result = bm.FetchPage(PageId{5, 0});
+  auto result = bm.FetchPinned(PageId{5, 0});
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
@@ -105,7 +105,7 @@ TEST(BufferManagerTest, ResidentPageIdsMatchesContains) {
   auto disk = MakeTestDisk({4});
   BufferManager bm(disk.get(), 8, std::make_unique<LruPolicy>());
   for (uint32_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(bm.FetchPage(PageId{0, p}).ok());
+    ASSERT_TRUE(bm.FetchPinned(PageId{0, p}).ok());
   }
   auto ids = bm.ResidentPageIds();
   EXPECT_EQ(ids.size(), 4u);
@@ -117,7 +117,7 @@ TEST(BufferManagerTest, PoolLargerThanDataNeverEvicts) {
   BufferManager bm(disk.get(), 100, std::make_unique<LruPolicy>());
   for (int round = 0; round < 3; ++round) {
     for (uint32_t p = 0; p < 5; ++p) {
-      ASSERT_TRUE(bm.FetchPage(PageId{0, p}).ok());
+      ASSERT_TRUE(bm.FetchPinned(PageId{0, p}).ok());
     }
   }
   EXPECT_EQ(bm.stats().misses, 5u);
@@ -128,9 +128,9 @@ TEST(BufferManagerTest, PoolLargerThanDataNeverEvicts) {
 TEST(BufferManagerTest, ResetStatsLeavesDiskCountersAlone) {
   auto disk = MakeTestDisk({3});
   BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
   ASSERT_EQ(bm.stats().fetches, 3u);
   ASSERT_EQ(disk->stats().reads, 2u);
 
@@ -143,7 +143,7 @@ TEST(BufferManagerTest, ResetStatsLeavesDiskCountersAlone) {
   EXPECT_EQ(bm.stats().evictions, 0u);
   EXPECT_EQ(disk->stats().reads, 2u);
 
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());  // Hit: no disk read.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // Hit: no disk read.
   disk->ResetStats();
   EXPECT_EQ(disk->stats().reads, 0u);
   EXPECT_EQ(bm.stats().fetches, 1u);
@@ -161,9 +161,9 @@ TEST(BufferManagerTest, EvictionCallbackSeesVictimMetadata) {
   bm.SetEvictionCallback(
       [&](const EvictionEvent& ev) { events.push_back(ev); });
 
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Evicts (0,0), LRU.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Evicts (0,0), LRU.
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].page, (PageId{0, 0}));
   // The RAP-style replacement value is max_weight * w_{q,t}.
@@ -173,7 +173,7 @@ TEST(BufferManagerTest, EvictionCallbackSeesVictimMetadata) {
 
   // Clearing the callback stops delivery but not eviction itself.
   bm.SetEvictionCallback({});
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Evicts again.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Evicts again.
   EXPECT_EQ(bm.stats().evictions, 2u);
   EXPECT_EQ(events.size(), 1u);
 }
@@ -183,10 +183,10 @@ TEST(BufferManagerTest, TracerRecordsFetchesAndEvictions) {
   BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
   obs::QueryTracer tracer;
   bm.SetTracer(&tracer);
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // miss
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // hit
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());  // miss
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // miss + evict
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // miss
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // hit
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // miss
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // miss + evict
 
   EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kFetch), 4u);
   EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kEvict), 1u);
@@ -198,25 +198,8 @@ TEST(BufferManagerTest, TracerRecordsFetchesAndEvictions) {
 
   // Uninstalling stops recording.
   bm.SetTracer(nullptr);
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
   EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kFetch), 4u);
-}
-
-TEST(BufferManagerTest, FetchPagePointerIsOnlyValidUntilNextFetch) {
-  // The documented lifetime hazard: with one frame, fetching a second
-  // page recycles the first page's frame IN PLACE, so the earlier
-  // pointer now shows the new page. Callers that hold a page across
-  // another fetch must use FetchPinned.
-  auto disk = MakeTestDisk({2});
-  BufferManager bm(disk.get(), 1, std::make_unique<LruPolicy>());
-  auto first = bm.FetchPage(PageId{0, 0});
-  ASSERT_TRUE(first.ok());
-  const storage::Page* raw = first.value();
-  EXPECT_EQ(raw->id.page_no, 0u);
-  auto second = bm.FetchPage(PageId{0, 1});
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value(), raw);  // Same frame, recycled in place...
-  EXPECT_EQ(raw->id.page_no, 1u);  // ...so the old pointer's content moved.
 }
 
 TEST(BufferManagerTest, FetchPinnedProtectsThePageFromEviction) {
@@ -234,7 +217,7 @@ TEST(BufferManagerTest, FetchPinnedProtectsThePageFromEviction) {
   // must never be the victim while pinned.
   for (int round = 0; round < 2; ++round) {
     for (uint32_t p = 1; p < 4; ++p) {
-      ASSERT_TRUE(bm.FetchPage(PageId{0, p}).ok());
+      ASSERT_TRUE(bm.FetchPinned(PageId{0, p}).ok());
     }
   }
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));
@@ -248,9 +231,9 @@ TEST(BufferManagerTest, FetchPinnedProtectsThePageFromEviction) {
   // The guard's destructor releases the pin; then page 0 is evictable.
   pinned.value().Release();
   EXPECT_EQ(bm.PinCount(PageId{0, 0}), 0u);
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 3}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 3}).ok());
   EXPECT_FALSE(bm.Contains(PageId{0, 0}));
 }
 

@@ -11,11 +11,11 @@ namespace {
 TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
   auto disk = MakeTestDisk({4});
   BufferManager bm(disk.get(), 3, std::make_unique<LruPolicy>());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Refresh page 0.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 3}).ok());  // Evict page 1.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Refresh page 0.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 3}).ok());  // Evict page 1.
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));
   EXPECT_FALSE(bm.Contains(PageId{0, 1}));
 }
@@ -23,10 +23,10 @@ TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
 TEST(MruPolicyTest, EvictsMostRecentlyUsed) {
   auto disk = MakeTestDisk({4});
   BufferManager bm(disk.get(), 3, std::make_unique<MruPolicy>());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 3}).ok());  // Evict page 2 (MRU).
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 3}).ok());  // Evict page 2 (MRU).
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));
   EXPECT_TRUE(bm.Contains(PageId{0, 1}));
   EXPECT_FALSE(bm.Contains(PageId{0, 2}));
@@ -39,7 +39,7 @@ TEST(LruPolicyTest, SequentialRescanWithTightBufferAlwaysMisses) {
   BufferManager bm(disk.get(), 3, std::make_unique<LruPolicy>());
   for (int round = 0; round < 5; ++round) {
     for (uint32_t p = 0; p < 4; ++p) {
-      ASSERT_TRUE(bm.FetchPage(PageId{0, p}).ok());
+      ASSERT_TRUE(bm.FetchPinned(PageId{0, p}).ok());
     }
   }
   EXPECT_EQ(bm.stats().hits, 0u);
@@ -53,7 +53,7 @@ TEST(MruPolicyTest, SequentialRescanWithTightBufferMostlyHits) {
   BufferManager bm(disk.get(), 3, std::make_unique<MruPolicy>());
   for (int round = 0; round < 5; ++round) {
     for (uint32_t p = 0; p < 4; ++p) {
-      ASSERT_TRUE(bm.FetchPage(PageId{0, p}).ok());
+      ASSERT_TRUE(bm.FetchPinned(PageId{0, p}).ok());
     }
   }
   // Round 1: 4 misses. Rounds 2-5: pages 0,1 always resident (2 hits)...
@@ -73,10 +73,10 @@ TEST(RecencyPoliciesTest, EvictionThenReinsertKeepsStateConsistent) {
     BufferManager bm(disk.get(), 2, std::move(policy));
     // Churn through all pages twice in both directions.
     for (int p = 0; p < 6; ++p) {
-      ASSERT_TRUE(bm.FetchPage(PageId{0, static_cast<uint32_t>(p)}).ok());
+      ASSERT_TRUE(bm.FetchPinned(PageId{0, static_cast<uint32_t>(p)}).ok());
     }
     for (int p = 5; p >= 0; --p) {
-      ASSERT_TRUE(bm.FetchPage(PageId{0, static_cast<uint32_t>(p)}).ok());
+      ASSERT_TRUE(bm.FetchPinned(PageId{0, static_cast<uint32_t>(p)}).ok());
     }
     EXPECT_EQ(bm.ResidentPageIds().size(), 2u);
   }
@@ -85,12 +85,12 @@ TEST(RecencyPoliciesTest, EvictionThenReinsertKeepsStateConsistent) {
 TEST(RecencyPoliciesTest, ResetAfterFlush) {
   auto disk = MakeTestDisk({3});
   BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
   bm.Flush();
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());  // Evicts 2 (LRU).
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // Evicts 2 (LRU).
   EXPECT_FALSE(bm.Contains(PageId{0, 2}));
 }
 

@@ -24,10 +24,10 @@ TEST(RapPolicyTest, EvictsLowestReplacementValue) {
   BufferManager bm(disk.get(), 3, std::make_unique<RapPolicy>());
   bm.SetQueryContext(ContextFor({{0, 1.0}, {1, 1.0}}));
 
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Value 100.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 0}).ok());  // Value 200.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 1}).ok());  // Value 199.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 2}).ok());  // Evicts (0,0): lowest.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Value 100.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());  // Value 200.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 1}).ok());  // Value 199.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 2}).ok());  // Evicts (0,0): lowest.
   EXPECT_FALSE(bm.Contains(PageId{0, 0}));
   EXPECT_TRUE(bm.Contains(PageId{1, 0}));
 }
@@ -38,10 +38,10 @@ TEST(RapPolicyTest, QueryWeightScalesPageValue) {
   // Term 0 is weighted much higher than term 1, inverting the raw stored
   // weights (Equation 6: value = max-weight * w_{q,t}).
   bm.SetQueryContext(ContextFor({{0, 10.0}, {1, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Value 1000.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 0}).ok());  // Value 200.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());  // Value 990.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Evicts (1,0).
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Value 1000.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());  // Value 200.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // Value 990.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Evicts (1,0).
   EXPECT_FALSE(bm.Contains(PageId{1, 0}));
 }
 
@@ -51,14 +51,14 @@ TEST(RapPolicyTest, DroppedTermPagesEvictedFirst) {
   auto disk = MakeTestDisk({3, 3});
   BufferManager bm(disk.get(), 4, std::make_unique<RapPolicy>());
   bm.SetQueryContext(ContextFor({{0, 1.0}, {1, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
 
   // Refined query: term 1 dropped.
   bm.SetQueryContext(ContextFor({{0, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Needs an eviction.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Needs an eviction.
   // A term-1 page must have gone, not a term-0 page.
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));
   EXPECT_TRUE(bm.Contains(PageId{0, 1}));
@@ -70,11 +70,11 @@ TEST(RapPolicyTest, TailEvictedBeforeHead) {
   auto disk = MakeTestDisk({3});
   BufferManager bm(disk.get(), 2, std::make_unique<RapPolicy>());
   bm.SetQueryContext(ContextFor({{0, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
   // Term 0 dropped: both resident pages now value 0.
   bm.SetQueryContext(QueryContext{});
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));   // Head kept.
   EXPECT_FALSE(bm.Contains(PageId{0, 1}));  // Tail evicted.
 }
@@ -85,10 +85,10 @@ TEST(RapPolicyTest, FirstPagesSurviveWithinOneTerm) {
   auto disk = MakeTestDisk({4});
   BufferManager bm(disk.get(), 2, std::make_unique<RapPolicy>());
   bm.SetQueryContext(ContextFor({{0, 2.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Evicts page 1.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 3}).ok());  // Evicts page 2.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Evicts page 1.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 3}).ok());  // Evicts page 2.
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));
   EXPECT_TRUE(bm.Contains(PageId{0, 3}));
 }
@@ -98,7 +98,7 @@ TEST(RapPolicyTest, ValueOfReflectsContext) {
   auto policy = std::make_unique<RapPolicy>();
   RapPolicy* rap = policy.get();
   BufferManager bm(disk.get(), 1, std::move(policy));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
   // No context yet: value is 0.
   EXPECT_DOUBLE_EQ(rap->ValueOf(0), 0.0);
   bm.SetQueryContext(ContextFor({{0, 3.0}}));
@@ -111,20 +111,20 @@ TEST(RapPolicyTest, SharedContextRaiseTakesEffectInPlace) {
   auto disk = MakeTestDisk({4, 4});
   BufferManager bm(disk.get(), 4, std::make_unique<RapPolicy>());
   bm.SetQueryContext(ContextFor({{0, 1.0}, {1, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Value 100.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());  // Value 99.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 0}).ok());  // Value 200.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 1}).ok());  // Value 199.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Value 100.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // Value 99.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());  // Value 200.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 1}).ok());  // Value 199.
 
   // Term 1 dropped: its pages value 0 and go first.
   bm.SetQueryContext(ContextFor({{0, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Value 98.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Value 98.
   EXPECT_FALSE(bm.Contains(PageId{1, 1}));
 
   // Another user raises term 1: (1,0) is now worth 2000, so the lowest
   // value is term 0's tail.
   bm.SetSharedContext(ContextFor({{1, 10.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 3}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 3}).ok());
   EXPECT_TRUE(bm.Contains(PageId{1, 0}));
   EXPECT_FALSE(bm.Contains(PageId{0, 2}));
 }

@@ -81,7 +81,7 @@ TEST(BafEvaluatorTest, BufferedTermProcessedFirst) {
   buffer::BufferManager pool(&tc.index.disk(), 16,
                              buffer::MakePolicy(buffer::PolicyKind::kLru));
   for (uint32_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(pool.FetchPage(PageId{2, p}).ok());
+    ASSERT_TRUE(pool.FetchPinned(PageId{2, p}).ok());
   }
 
   Query q;

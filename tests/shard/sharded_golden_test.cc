@@ -1,13 +1,15 @@
 // Golden differentials for the scatter-gather engine: the sharded
 // ranking must equal the unsharded evaluator's BIT FOR BIT (exact
 // double equality, not tolerance), across {DF warm sequences, BAF cold
-// queries} x {LRU, RAP, FIFO, CLOCK} x shard counts — and at shards=1
-// the whole QueryServer response (counters and trace included) must be
+// queries} x {LRU, RAP, FIFO, CLOCK} x shard counts, and under the
+// term-level controls (term budget, deadline) — and at shards=1 the
+// whole QueryServer response (counters and trace included) must be
 // byte-identical to the legacy single-pool serving path.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "../core/test_index.h"
@@ -27,16 +29,17 @@ constexpr buffer::PolicyKind kPolicies[] = {
     buffer::PolicyKind::kLru, buffer::PolicyKind::kRap,
     buffer::PolicyKind::kFifo, buffer::PolicyKind::kClock};
 
-// A deterministic refinement-ish sequence of multi-term queries.
+// A deterministic refinement-ish sequence of multi-term queries of
+// min_width .. min_width + 2 terms.
 std::vector<core::Query> MakeQueries(const TestCollection& tc, uint64_t seed,
-                                     size_t count) {
+                                     size_t count, uint32_t min_width = 2) {
   Pcg32 rng(seed);
   const uint32_t num_terms =
       static_cast<uint32_t>(tc.index.lexicon().size());
   std::vector<core::Query> queries;
   for (size_t i = 0; i < count; ++i) {
     core::Query q;
-    const uint32_t width = 2 + rng.NextBounded(3);
+    const uint32_t width = min_width + rng.NextBounded(3);
     for (TermId t : SampleDistinct(num_terms, width, &rng)) {
       q.AddTerm(t, 1 + rng.NextBounded(2));
     }
@@ -142,6 +145,107 @@ TEST(ShardedGoldenTest, BafColdQueriesMatchUnshardedBitForBit) {
       }
     }
   }
+}
+
+// ---- Term-level controls: the term budget (EvalControl::max_terms)
+// and the deadline probe must cut both paths at the same term boundary,
+// forfeit the same terms into quality_bound and leave the same trace.
+// A counter clock makes the deadline pass after exactly k boundaries on
+// either side; pools are cold, so BAF's order is shard-invariant too.
+// max_pages_per_term stays off: it caps shard-local pages. ----
+
+uint64_t g_clock_us = 0;
+uint64_t CountingClock() { return g_clock_us++; }
+
+TEST(ShardedGoldenTest, TermBudgetAndDeadlineCutsMatchUnsharded) {
+  TestCollection tc = MakeRandomCollection(53, 160, 12, kPageSize);
+  const std::vector<core::Query> queries = MakeQueries(tc, 211, 5, 4);
+  struct Cut {
+    uint32_t max_terms;
+    uint64_t deadline_after;  // Term boundaries before it passes; 0 = none.
+  };
+  // Budget only, deadline only (early and late), and both armed so the
+  // budget fires first at a boundary where the clock is never read.
+  const Cut cuts[] = {{2, 0}, {0, 1}, {0, 3}, {2, 3}};
+  size_t trimmed = 0;
+  size_t deadlines = 0;
+
+  for (bool buffer_aware : {false, true}) {
+    core::EvalOptions eval;
+    eval.buffer_aware = buffer_aware;
+    core::FilteringEvaluator reference(&tc.index, eval);
+    for (size_t num_shards : {1u, 2u, 3u, 4u}) {
+      shard::ShardOptions sharding;
+      sharding.num_shards = num_shards;
+      sharding.page_size = kPageSize;
+      auto sharded = shard::ShardIndex(tc.index, sharding);
+      ASSERT_TRUE(sharded.ok());
+      for (const Cut& cut : cuts) {
+        core::EvalControl control;
+        control.now_us = &CountingClock;
+        control.max_terms = cut.max_terms;
+        control.deadline_us = cut.deadline_after;
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const std::string what =
+              std::string(buffer_aware ? "BAF" : "DF") + " shards " +
+              std::to_string(num_shards) + " max_terms " +
+              std::to_string(cut.max_terms) + " deadline " +
+              std::to_string(cut.deadline_after) + " query " +
+              std::to_string(i);
+          buffer::BufferManager reference_pool(
+              &tc.index.disk(), 16,
+              buffer::MakePolicy(buffer::PolicyKind::kRap));
+          g_clock_us = 0;
+          auto expected = reference.Evaluate(queries[i], &reference_pool,
+                                             &control);
+          ASSERT_TRUE(expected.ok()) << what;
+
+          shard::ShardedEngine engine(
+              &sharded.value(),
+              EngineOptions(buffer::PolicyKind::kRap, buffer_aware));
+          g_clock_us = 0;
+          auto result = engine.Evaluate(queries[i], &control, 0);
+          ASSERT_TRUE(result.ok()) << what;
+
+          const core::EvalResult& want = expected.value();
+          const core::EvalResult& got = result.value();
+          trimmed += want.work_trimmed ? 1 : 0;
+          deadlines += want.deadline_hit ? 1 : 0;
+          ExpectBitIdentical(got.top_docs, want.top_docs, what);
+          EXPECT_EQ(got.quality_bound, want.quality_bound) << what;
+          EXPECT_EQ(got.work_trimmed, want.work_trimmed) << what;
+          EXPECT_EQ(got.deadline_hit, want.deadline_hit) << what;
+          EXPECT_EQ(got.degraded, want.degraded) << what;
+          EXPECT_EQ(got.terms_skipped, want.terms_skipped) << what;
+          ASSERT_EQ(got.trace.size(), want.trace.size()) << what;
+          for (size_t j = 0; j < got.trace.size(); ++j) {
+            const core::TermTrace& g = got.trace[j];
+            const core::TermTrace& w = want.trace[j];
+            EXPECT_EQ(g.term, w.term) << what << " row " << j;
+            EXPECT_EQ(g.idf, w.idf) << what << " row " << j;
+            EXPECT_EQ(g.smax_before, w.smax_before) << what << " row " << j;
+            EXPECT_EQ(g.smax_after, w.smax_after) << what << " row " << j;
+            EXPECT_EQ(g.f_ins, w.f_ins) << what << " row " << j;
+            EXPECT_EQ(g.f_add, w.f_add) << what << " row " << j;
+            EXPECT_EQ(g.skipped, w.skipped) << what << " row " << j;
+            if (num_shards == 1) {
+              // One shard at the source page size is the source index,
+              // so the page and posting counters agree as well.
+              EXPECT_EQ(g.total_pages, w.total_pages) << what << " row " << j;
+              EXPECT_EQ(g.pages_processed, w.pages_processed)
+                  << what << " row " << j;
+              EXPECT_EQ(g.pages_read, w.pages_read) << what << " row " << j;
+              EXPECT_EQ(g.postings_processed, w.postings_processed)
+                  << what << " row " << j;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both cuts actually fired somewhere (the queries are wide enough).
+  EXPECT_GT(trimmed, 0u);
+  EXPECT_GT(deadlines, 0u);
 }
 
 // ---- Shared-context RAP: per-shard SharedQueryContext snapshots must

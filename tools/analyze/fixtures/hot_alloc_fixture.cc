@@ -35,11 +35,11 @@ class Evaluator {
     // LINT-HOT-LOOP: fixture posting scan.
     for (int i = 0; i < n; ++i) {
       total += acc.FindOrInsert(i);
-      docs.push_back(i);  // ANALYZE-EXPECT: hot-alloc-ast // LINT-EXPECT: hot-alloc
+      docs.push_back(i);  // ANALYZE-EXPECT: hot-alloc-ast
       int* boxed = new int(i);  // ANALYZE-EXPECT: hot-alloc-ast
       total += *boxed;
       Record(i);  // ANALYZE-EXPECT: hot-alloc-ast
-      std::vector<int> scratch;  // ANALYZE-EXPECT: hot-alloc-ast // LINT-EXPECT: hot-alloc
+      std::vector<int> scratch;  // ANALYZE-EXPECT: hot-alloc-ast
       total += static_cast<long>(scratch.size());
     }
     // LINT-HOT-LOOP-END

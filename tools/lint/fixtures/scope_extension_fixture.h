@@ -1,9 +1,9 @@
 // LINT-PATH: tools/analyze/fixtures/scope_sample.h
 // Scope-extension fixture: proves the widened rule scopes fire on the
-// tools/ fixture corpora (raw-fetch, unguarded-mutex, raw-clock,
-// raw-sleep). Each marked line must be flagged by --self-test; in a
-// tree run the LINT-EXPECT markers subtract them, so the corpus stays
-// green while the scopes stay provably live.
+// tools/ fixture corpora (unguarded-mutex, raw-clock, raw-sleep). Each
+// marked line must be flagged by --self-test; in a tree run the
+// LINT-EXPECT markers subtract them, so the corpus stays green while
+// the scopes stay provably live.
 
 #include <chrono>
 #include <mutex>
@@ -13,10 +13,6 @@ namespace irbuf::fixture {
 
 class ScopeSample {
  public:
-  void RawFetchInToolsScope() {
-    pool_->FetchPage(7);  // LINT-EXPECT: raw-fetch
-  }
-
   void RawClockInToolsScope() {
     last_ns_ = std::chrono::steady_clock::now()  // LINT-EXPECT: raw-clock
                    .time_since_epoch()
@@ -29,12 +25,6 @@ class ScopeSample {
   }
 
  private:
-  class Pool {
-   public:
-    int FetchPage(int id);
-  };
-
-  Pool* pool_ = nullptr;
   long last_ns_ = 0;
   std::mutex mu_;  // LINT-EXPECT: unguarded-mutex
 };

@@ -1,29 +1,17 @@
 // LINT-PATH: src/fault/scope_sample.cc
-// Scope-extension fixture: src/fault/ joined the raw-fetch and
-// raw-clock scopes (PR 8) — the fault layer sits on the read path, so
-// a raw FetchPage or a clock read that forks the retry/backoff
-// timebase is just as wrong there as in serve/.
+// Scope-extension fixture: src/fault/ is in the raw-clock scope — the
+// fault layer sits on the read path, so a clock read that forks the
+// retry/backoff timebase is just as wrong there as in serve/.
 
 namespace irbuf::fault_fixture {
 
 class Reader {
  public:
-  void BypassesPinProtocol() {
-    inner_->FetchPage(3);  // LINT-EXPECT: raw-fetch
-  }
-
   long ForksTheTimebase() {
     return std::chrono::steady_clock::now()  // LINT-EXPECT: raw-clock
         .time_since_epoch()
         .count();
   }
-
- private:
-  class Inner {
-   public:
-    int FetchPage(int id);
-  };
-  Inner* inner_ = nullptr;
 };
 
 }  // namespace irbuf::fault_fixture

@@ -1,8 +1,8 @@
 // LINT-PATH: src/shard/shard_scope_fixture.h
 // Fixture pinning the scope extension for the sharded-serving
-// subsystem: src/shard/ is covered by the unguarded-mutex, raw-fetch
-// and raw-clock rules exactly like src/serve/ (the coordinator and
-// lane threads are as concurrent as the server they feed).
+// subsystem: src/shard/ is covered by the unguarded-mutex and
+// raw-clock rules exactly like src/serve/ (the coordinator and lane
+// threads are as concurrent as the server they feed).
 
 #include <chrono>
 #include <mutex>
@@ -28,10 +28,6 @@ class GoodLanes {
 inline void BadClock() {
   auto t = std::chrono::steady_clock::now();  // LINT-EXPECT: raw-clock
   (void)t;
-}
-
-inline void BadFetch(BufferPool& pool) {
-  pool.FetchPage(0);  // LINT-EXPECT: raw-fetch
 }
 
 }  // namespace irbuf::shard

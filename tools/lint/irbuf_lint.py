@@ -3,18 +3,13 @@
 
 Enforces rules the generic tools (clang-tidy, -Werror=thread-safety)
 cannot express, because they encode project protocol rather than
-language semantics:
+language semantics. Invariants the compiler or the semantic analyzer
+(tools/analyze/irbuf_analyzer.py) already owns are not repeated here:
+pages are reachable only through the pinning FetchPinned, a dropped
+Status fails the build through [[nodiscard]] + -Werror=unused-result
+and the analyzer's unchecked-status check, and allocation inside
+// LINT-HOT-LOOP regions is the analyzer's hot-alloc-ast check.
 
-  raw-fetch        Evaluator and serving code (src/core/, src/serve/)
-                   must access pages through the PinnedPage RAII
-                   protocol (FetchPinned); raw BufferManager::FetchPage
-                   returns a pointer the next fetch may invalidate.
-  dropped-status   A util::Status / Result<T> returned by a known
-                   status API must not be discarded as a bare statement.
-                   (The compiler enforces this too via [[nodiscard]] +
-                   -Werror=unused-result; the linter keeps the contract
-                   visible in review diffs and catches code that is not
-                   compiled in every configuration.)
   unguarded-mutex  Mutex members in the concurrent subsystems
                    (src/serve/, src/buffer/, src/obs/) must be the
                    annotated irbuf::Mutex, and every such mutex must
@@ -40,15 +35,6 @@ language semantics:
                    spans, lock waits and latency accounting stop lining
                    up in one Perfetto timeline, and wall-clock reads
                    are not monotonic across NTP steps.
-  hot-alloc        Regions bracketed by // LINT-HOT-LOOP ...
-                   // LINT-HOT-LOOP-END mark the per-posting loops the
-                   evaluation engine's zero-allocation contract covers
-                   (block decode, accumulator probes, run scans). No
-                   std::vector may be constructed and no push_back/
-                   emplace_back may run inside one — an allocation there
-                   is a per-posting cost the A/B benches exist to keep
-                   out. Appends that amortize per run/page belong
-                   outside the markers.
 
 Usage:
   irbuf_lint.py [--root DIR]    lint the tree (default: repo root)
@@ -108,115 +94,6 @@ def allowed_rules(raw_line: str) -> Set[str]:
     if not m:
         return set()
     return {r.strip() for r in m.group(1).split(",")}
-
-
-# --------------------------------------------------------------------------
-# Rule: raw-fetch
-# --------------------------------------------------------------------------
-
-RAW_FETCH_SCOPE = ("src/core/", "src/serve/", "src/shard/",
-                   "src/workload/", "src/fault/", "src/ir/",
-                   "tools/")
-RAW_FETCH_RE = re.compile(r"(?:\.|->)\s*FetchPage\s*\(")
-
-
-def check_raw_fetch(path: str, code_lines: List[Tuple[int, str, str]],
-                    out: List[Violation]) -> None:
-    if not path.startswith(RAW_FETCH_SCOPE):
-        return
-    for lineno, code, raw in code_lines:
-        if RAW_FETCH_RE.search(code) and "raw-fetch" not in allowed_rules(raw):
-            out.append((path, lineno, "raw-fetch",
-                        "raw FetchPage bypasses the PinnedPage protocol; "
-                        "use FetchPinned so the page cannot be evicted "
-                        "while it is being read"))
-
-
-# --------------------------------------------------------------------------
-# Rule: dropped-status
-# --------------------------------------------------------------------------
-
-# `Status Foo(...)` / `Result<T> Foo(...)` declarations; collected from
-# headers tree-wide plus the file being linted.
-STATUS_DECL_RE = re.compile(
-    r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:virtual\s+|static\s+)*"
-    r"(?:irbuf::|util::)?(?:Status|Result<[^;={}]*>)\s+(\w+)\s*\(")
-# A call used as an entire statement: optional receiver chain (no
-# parentheses, so wrapper macros match as the outer name instead), a
-# name, an argument list, then `;` — nothing consuming the value.
-BARE_CALL_RE = re.compile(
-    r"^\s*(?:[\w\]\[]+(?:\.|->))*(\w+)\s*\([^;=]*\)\s*;\s*$")
-# Names that look like calls but are flow/assertion macros wrapping the
-# status, not discards.
-BARE_CALL_IGNORE = {
-    "IRBUF_RETURN_NOT_OK", "IRBUF_DCHECK", "ASSERT_TRUE", "ASSERT_FALSE",
-    "EXPECT_TRUE", "EXPECT_FALSE", "ASSERT_OK", "EXPECT_OK", "return",
-}
-# Any function declaration: return type tokens, then a name, then `(`.
-# Used only to detect names that are ALSO declared with a non-status
-# return type — those are ambiguous for a name-based matcher and are
-# dropped from the API set (the compiler's [[nodiscard]] still covers
-# them precisely).
-ANY_DECL_RE = re.compile(
-    r"^\s*(?:\[\[nodiscard\]\]\s*)?"
-    r"(?:virtual\s+|static\s+|inline\s+|constexpr\s+|explicit\s+)*"
-    r"((?:[\w:]+(?:<[^;={}]*>)?[\s\*&]+)+)(\w+)\s*\(")
-DECL_KEYWORDS = {"return", "if", "while", "for", "switch", "case", "else",
-                 "new", "delete", "do", "using", "typedef", "goto", "co_return"}
-# A previous code line ending with one of these means the next line
-# starts a new statement (anything else — `=`, `(`, `,`, `&&` ... —
-# means the line is a continuation).
-STATEMENT_BOUNDARY = (";", "{", "}", ":", ")")
-
-
-def collect_status_apis(files: Dict[str, List[str]]) -> Set[str]:
-    names: Set[str] = set()
-    other_return: Set[str] = set()
-    for _, lines in files.items():
-        in_block = False
-        for raw in lines:
-            code, in_block = strip_comments(raw, in_block)
-            m = STATUS_DECL_RE.match(code)
-            if m:
-                names.add(m.group(1))
-                continue
-            m = ANY_DECL_RE.match(code)
-            if m:
-                rtype = m.group(1)
-                first = rtype.split()[0].rstrip("*&") if rtype.split() else ""
-                if first in DECL_KEYWORDS:
-                    continue
-                if "Status" not in rtype and "Result" not in rtype:
-                    other_return.add(m.group(2))
-    return names - other_return
-
-
-def check_dropped_status(path: str, code_lines: List[Tuple[int, str, str]],
-                         status_apis: Set[str],
-                         out: List[Violation]) -> None:
-    if not path.endswith((".cc", ".cpp", ".h")):
-        return
-    prev_code = ""
-    for lineno, code, raw in code_lines:
-        starts_statement = (prev_code == ""
-                            or prev_code.endswith(STATEMENT_BOUNDARY))
-        if code.strip():
-            prev_code = code.rstrip()
-        if not starts_statement:
-            continue
-        m = BARE_CALL_RE.match(code)
-        if not m:
-            continue
-        name = m.group(1)
-        if name in BARE_CALL_IGNORE or name not in status_apis:
-            continue
-        if "dropped-status" in allowed_rules(raw):
-            continue
-        out.append((path, lineno, "dropped-status",
-                    f"return value of status API '{name}' is discarded; "
-                    "check it, propagate it with IRBUF_RETURN_NOT_OK, or "
-                    "annotate `// irbuf-lint: allow(dropped-status)` with "
-                    "a reason"))
 
 
 # --------------------------------------------------------------------------
@@ -326,44 +203,6 @@ def check_raw_clock(path: str, code_lines: List[Tuple[int, str, str]],
 
 
 # --------------------------------------------------------------------------
-# Rule: hot-alloc
-# --------------------------------------------------------------------------
-
-HOT_LOOP_START_RE = re.compile(r"//\s*LINT-HOT-LOOP(?!-END)")
-HOT_LOOP_END_RE = re.compile(r"//\s*LINT-HOT-LOOP-END")
-HOT_ALLOC_RE = re.compile(r"std::vector\s*<|(?:\.|->)\s*(?:push_back|"
-                          r"emplace_back)\s*\(")
-
-
-def check_hot_alloc(path: str, code_lines: List[Tuple[int, str, str]],
-                    out: List[Violation]) -> None:
-    in_region = False
-    region_open_line = 0
-    for lineno, code, raw in code_lines:
-        # Markers live in comments, so match the raw line.
-        if HOT_LOOP_END_RE.search(raw):
-            in_region = False
-            continue
-        if HOT_LOOP_START_RE.search(raw):
-            in_region = True
-            region_open_line = lineno
-            continue
-        if not in_region:
-            continue
-        if HOT_ALLOC_RE.search(code) and "hot-alloc" not in allowed_rules(raw):
-            out.append((path, lineno, "hot-alloc",
-                        "allocation inside the LINT-HOT-LOOP region opened "
-                        f"at line {region_open_line}: these loops run per "
-                        "posting and must not construct or grow a "
-                        "std::vector; hoist the allocation above the "
-                        "marker or amortize it per run/page"))
-    if in_region:
-        out.append((path, region_open_line, "hot-alloc",
-                    "LINT-HOT-LOOP region is never closed; add "
-                    "// LINT-HOT-LOOP-END"))
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -394,8 +233,7 @@ def load_tree(root: str) -> Dict[str, List[str]]:
     return files
 
 
-def lint_file(path: str, lines: List[str], status_apis: Set[str]
-              ) -> List[Violation]:
+def lint_file(path: str, lines: List[str]) -> List[Violation]:
     # (lineno, comment-stripped code, raw line) triples.
     code_lines: List[Tuple[int, str, str]] = []
     in_block = False
@@ -403,20 +241,15 @@ def lint_file(path: str, lines: List[str], status_apis: Set[str]
         code, in_block = strip_comments(raw, in_block)
         code_lines.append((i, code, raw))
     out: List[Violation] = []
-    check_raw_fetch(path, code_lines, out)
-    check_dropped_status(path, code_lines, status_apis, out)
     check_unguarded_mutex(path, code_lines, out)
     check_raw_rand(path, code_lines, out)
     check_raw_sleep(path, code_lines, out)
     check_raw_clock(path, code_lines, out)
-    check_hot_alloc(path, code_lines, out)
     return out
 
 
 def run_tree(root: str) -> int:
     files = load_tree(root)
-    status_apis = collect_status_apis(
-        {p: ls for p, ls in files.items() if p.endswith(".h")})
     violations: List[Violation] = []
     for path, lines in sorted(files.items()):
         lint_path = path
@@ -435,7 +268,7 @@ def run_tree(root: str) -> int:
                 if m:
                     for rule in m.group(1).split(","):
                         expected.add((i, rule.strip()))
-        found = lint_file(lint_path, lines, status_apis)
+        found = lint_file(lint_path, lines)
         violations.extend(
             (path, lineno, rule, msg)
             for (_p, lineno, rule, msg) in found
@@ -476,12 +309,8 @@ def run_self_test() -> int:
                 for rule in m.group(1).split(","):
                     expected.add((i, rule.strip()))
         total_expected += len(expected)
-        # Status APIs: the fixture's own declarations only, so the test
-        # is hermetic against repo refactors.
-        status_apis = collect_status_apis({virtual_path: lines})
         got = {(lineno, rule)
-               for _, lineno, rule, _ in
-               lint_file(virtual_path, lines, status_apis)}
+               for _, lineno, rule, _ in lint_file(virtual_path, lines)}
         for missing in sorted(expected - got):
             print(f"self-test FAIL: {name}:{missing[0]}: expected "
                   f"[{missing[1]}] was not flagged")
