@@ -66,15 +66,12 @@ double SavingsVs(uint64_t value, uint64_t baseline);
 std::string ResultsDir();
 
 /// Version of the telemetry-file envelope, carried in every file as
-/// "schema_version" so downstream tooling (ab_compare.py,
-/// attribution_report.py, bench_trend.py) can reject format drift
-/// instead of silently misreading it. History:
+/// "schema_version" so a reader can reject format drift instead of
+/// silently misreading it. History:
 ///   3 — serve cells gained the async-miss-pipeline fields
 ///       "prefetch_depth", "prefetch_issued", "prefetch_used",
 ///       "prefetch_wasted", "coalesced_misses" and "device_reads"
-///       (demand misses + readahead reads); the prefetch A/B pair adds
-///       lower-is-better records carrying top-level "p99_us" /
-///       "disk_reads" for ab_compare floors (this PR).
+///       (demand misses + readahead reads).
 ///   2 — schema_version field added; serve runs gained "instrumented",
 ///       "attribution", "mutex_waits", "latch_wait_share".
 ///   1 — implicit: {"bench","scale","runs":[...]} without a version.

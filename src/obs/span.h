@@ -25,8 +25,7 @@
 // Exports: Chrome trace_event JSON (ToChromeTraceJson — load the file
 // in ui.perfetto.dev or chrome://tracing) and a per-stage p50/p99
 // decomposition (ComputeAttribution / AppendAttributionJson) that
-// bench_serve_throughput embeds in its telemetry and
-// tools/bench/attribution_report.py renders.
+// `irbuf_cli serve --telemetry` embeds in its output.
 
 #ifndef IRBUF_OBS_SPAN_H_
 #define IRBUF_OBS_SPAN_H_

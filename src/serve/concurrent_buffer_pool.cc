@@ -254,14 +254,17 @@ Status ConcurrentBufferPool::ExecuteLoad(PageId id, uint64_t key,
   // The span covers the whole lock-free load — the read (retries
   // included), the simulated device delay and the decode — which is
   // what the attribution table should charge a miss (or a readahead
-  // slot) with.
+  // slot) with. Readahead makes one attempt outside the resilient
+  // reader: it neither takes the breaker's probe slot nor records an
+  // outcome, so the breaker sees demand reads only.
   const Status status = [&] {
     obs::ScopedSpan load_span(options_.span_recorder,
                               prefetch ? obs::SpanStage::kPrefetchIssue
                                        : obs::SpanStage::kMissRead,
                               id.term);
-    return resilient_ != nullptr ? resilient_->Read(id, read_once)
-                                 : read_once();
+    return resilient_ != nullptr && !prefetch
+               ? resilient_->Read(id, read_once)
+               : read_once();
   }();
   if (status.ok()) {
     device_reads_.fetch_add(1, std::memory_order_relaxed);
@@ -471,6 +474,12 @@ void ConcurrentBufferPool::PrefetchWorkerLoop() {
 }
 
 void ConcurrentBufferPool::PrefetchOne(PageId id) {
+  // An open or half-open breaker marks the device as suspect: readahead
+  // issues nothing until demand reads have closed it again.
+  if (resilient_ != nullptr && resilient_->breaker() != nullptr &&
+      resilient_->breaker()->state() != fault::BreakerState::kClosed) {
+    return;
+  }
   const uint64_t key = id.Pack();
   Stripe& stripe = StripeFor(key);
   {
@@ -510,8 +519,9 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
   if (!read.ok()) {
     // A faulted readahead is silent: the frame returns to the free
     // list, the in-flight entry clears (joined waiters retry as
-    // loaders), and the demand fetch performs its own resilient read —
-    // degrading exactly as it would have without the hint.
+    // loaders), and the demand fetch performs its own resilient read.
+    // The failure never reached the breaker, so it cannot be the reason
+    // the breaker rejects that read.
     ReleaseFailedLoad(key, frame);
     return;
   }

@@ -54,10 +54,12 @@
 // Readahead (prefetch_depth > 0). Prefetch(plan) enqueues the hinted
 // pages that are neither resident nor in flight onto a bounded queue
 // drained by prefetch_depth background I/O workers. A readahead load
-// runs the same FSM and the same resilient read path as a demand miss
-// (retry/backoff, breaker accounting, fault injection — a faulted
-// readahead read is silently dropped and the demand fetch later
-// degrades exactly as it would have without the hint). On success
+// runs the same FSM as a demand miss but stays outside the circuit
+// breaker: it makes one attempt with no retry, takes no probe slot,
+// records no outcome, and is not issued at all unless the breaker is
+// closed. The breaker's state is therefore a function of demand reads
+// alone. A faulted readahead read is silently dropped and the demand
+// fetch later makes its own resilient read. On success
 // the page is published into an *unpinned, prefetch-tagged* frame: the
 // replacement policy is NOT told about the frame (no OnInsert), so
 // victim choice is undistorted until a demand fetch touches the page —
@@ -133,8 +135,8 @@ struct ConcurrentPoolOptions {
   size_t prefetch_depth = 0;
   /// Retry/backoff + circuit breaker in front of miss-path reads.
   /// Disabled by default: reads then call the disk directly. Readahead
-  /// reads share the same ResilientReader, so their failures feed the
-  /// same breaker a demand read would.
+  /// reads bypass it and run only while its breaker is closed, so the
+  /// breaker counts demand reads alone.
   fault::ResilienceOptions resilience;
   /// Span recorder for the miss path (a kMissRead span around the disk
   /// read + simulated device delay on the loading worker's thread; a
@@ -389,8 +391,9 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// Runs one disk read into `frame.page` with no pool lock held:
   /// BeginRead, the simulated device delay, then FinishRead, moving the
   /// FSM through kReading/kDecoding (retries re-enter kReading). Wraps
-  /// the attempts in the resilient reader when one is configured and in
-  /// a kMissRead (demand) or kPrefetchIssue (readahead) span. Counts
+  /// a demand load's attempts in the resilient reader when one is
+  /// configured (a readahead load makes one bare attempt), and either
+  /// in a kMissRead (demand) or kPrefetchIssue (readahead) span. Counts
   /// device_reads_ on success.
   Status ExecuteLoad(PageId id, uint64_t key, Frame& frame, bool prefetch)
       IRBUF_EXCLUDES(latch_mu_);
@@ -404,7 +407,8 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   void PrefetchWorkerLoop();
 
   /// Loads one hinted page end to end (dequeue side of Prefetch),
-  /// unless it became resident or started loading after the hint.
+  /// unless it became resident or started loading after the hint, or
+  /// the breaker is not closed.
   void PrefetchOne(PageId id);
 
   struct MetricHandles {

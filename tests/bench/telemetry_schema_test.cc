@@ -1,9 +1,9 @@
-// Pins the telemetry-file envelope the downstream tools parse
-// (ab_compare.py, attribution_report.py, bench_trend.py): every file
-// TelemetryFile writes must lead with the schema_version those tools
-// check before trusting the rest. Compiled against the real
-// bench/bench_util.cc, so a schema change that forgets the version
-// bump (or the field) fails here, not in a Python stack trace.
+// Pins the telemetry-file envelope the paper benches write
+// (bench_results/<bench>.telemetry.json): every file TelemetryFile
+// writes must lead with the schema_version a reader checks before
+// trusting the rest. Compiled against the real bench/bench_util.cc, so
+// a schema change that forgets the version bump (or the field) fails
+// here, not in whatever parses the file.
 
 #include "bench_util.h"
 

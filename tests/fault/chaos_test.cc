@@ -537,5 +537,56 @@ TEST(ChaosPrefetchTest, FaultedPrefetchDegradesExactlyLikeFaultedDemand) {
   EXPECT_EQ(prefetch_pool.ResidentPages(0), 0u);
 }
 
+// ---- Readahead never moves the breaker. A whole term of failed
+// readahead reads leaves it closed and untripped, so the demand fetches
+// that follow are admitted or rejected by demand outcomes alone.
+
+TEST(ChaosPrefetchTest, FaultedReadaheadLeavesBreakerClosed) {
+  TestCollection tc = MakeRandomCollection(77, 250, 8, 3);
+  fault::FaultSpec spec;
+  fault::FaultRule bad{fault::FaultKind::kPermanentBadPage, 1.0};
+  bad.term_hi = 0;
+  spec.rules.push_back(bad);
+  fault::FaultInjector injector(spec);
+  tc.index.disk().SetFaultInjector(&injector);
+
+  const uint32_t pages = tc.index.lexicon().info(0).pages;
+  // Enough failures to trip a breaker that counted them.
+  ASSERT_GE(pages, fault::BreakerOptions{}.min_samples);
+  {
+    serve::ConcurrentPoolOptions options;
+    options.capacity = 16;
+    options.resilience = FastResilience();
+    options.prefetch_depth = 4;
+    serve::ConcurrentBufferPool pool(&tc.index.disk(), options);
+    const fault::CircuitBreaker* breaker = pool.resilience()->breaker();
+    ASSERT_NE(breaker, nullptr);
+
+    std::vector<PageId> plan;
+    for (uint32_t p = 0; p < pages; ++p) plan.push_back(PageId{0, p});
+    // Hint the term in slices that fit the readahead queue, letting each
+    // slice settle: every hinted page ends as one failed device read or
+    // one breaker rejection.
+    constexpr size_t kSlice = 16;
+    for (size_t begin = 0; begin < plan.size(); begin += kSlice) {
+      const size_t end = std::min(plan.size(), begin + kSlice);
+      pool.Prefetch(buffer::PageAccessPlan(plan.data() + begin, end - begin));
+      const auto settled = [&] {
+        const uint64_t failed =
+            injector.injected(fault::FaultKind::kPermanentBadPage);
+        return failed + breaker->rejects() >= end;
+      };
+      for (int i = 0; i < 5000 && !settled(); ++i) fault::SleepUs(1000);
+    }
+
+    EXPECT_EQ(injector.injected(fault::FaultKind::kPermanentBadPage), pages);
+    EXPECT_EQ(breaker->state(), fault::BreakerState::kClosed);
+    EXPECT_EQ(breaker->trips(), 0u);
+    EXPECT_EQ(breaker->rejects(), 0u);
+    EXPECT_EQ(pool.ResidentPages(0), 0u);
+  }
+  tc.index.disk().SetFaultInjector(nullptr);
+}
+
 }  // namespace
 }  // namespace irbuf
