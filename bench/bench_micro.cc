@@ -169,7 +169,7 @@ void BM_BufferFetch(benchmark::State& state) {
                              buffer::MakePolicy(kind));
   buffer::QueryContext ctx;
   for (TermId t = 0; t < 8; ++t) ctx.SetWeight(t, 1.0 + t);
-  pool.SetQueryContext(std::move(ctx));
+  const buffer::QueryLease lease = pool.BeginQuery(std::move(ctx));
   Pcg32 rng(13);
   for (auto _ : state) {
     TermId term = rng.NextBounded(8);

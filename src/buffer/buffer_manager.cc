@@ -121,20 +121,15 @@ Result<const storage::Page*> BufferManager::FetchInternal(
     const PageId victim_page = frames_[frame].meta.page;
     // Victim metadata is observed before the frame is recycled; the
     // replacement value is RAP's Equation 6 under the effective context.
-    if (tracer_ != nullptr || eviction_cb_ || metrics_.victim_age != nullptr) {
-      EvictionEvent ev;
-      ev.page = victim_page;
-      ev.max_weight = frames_[frame].meta.max_weight;
-      ev.value = ev.max_weight * query_context_.WeightOf(victim_page.term);
-      ev.age_fetches = fetch_tick_ - frames_[frame].insert_tick;
-      if (tracer_ != nullptr) {
-        tracer_->Evict(victim_page.term, victim_page.page_no,
-                       ev.max_weight, ev.value, ev.age_fetches);
-      }
-      if (metrics_.victim_age != nullptr) {
-        metrics_.victim_age->Observe(static_cast<double>(ev.age_fetches));
-      }
-      if (eviction_cb_) eviction_cb_(ev);
+    const uint64_t age_fetches = fetch_tick_ - frames_[frame].insert_tick;
+    if (tracer_ != nullptr) {
+      const double max_weight = frames_[frame].meta.max_weight;
+      tracer_->Evict(victim_page.term, victim_page.page_no, max_weight,
+                     max_weight * context_->WeightOf(victim_page.term),
+                     age_fetches);
+    }
+    if (metrics_.victim_age != nullptr) {
+      metrics_.victim_age->Observe(static_cast<double>(age_fetches));
     }
     page_table_.erase(victim_page.Pack());
     if (victim_page.term < term_resident_.size()) {
@@ -214,18 +209,21 @@ void BufferManager::BindMetrics(obs::MetricsRegistry* registry) {
       "eviction victim age in fetches since insertion");
 }
 
-void BufferManager::SetQueryContext(QueryContext context) {
-  query_context_ = std::move(context);
-  query_context_.MergeMax(shared_context_);
-  policy_->SetQueryContext(&query_context_);
+QueryLease BufferManager::BeginQuery(QueryContext weights) {
+  auto context = std::make_shared<const QueryContext>(std::move(weights));
+  const uint64_t id = leases_.Add(std::move(context));
+  PublishLeases();
+  return QueryLease(this, id);
 }
 
-void BufferManager::SetSharedContext(QueryContext shared) {
-  shared_context_ = std::move(shared);
-  // Re-derive the effective context so the change takes effect before
-  // the next SetQueryContext call as well.
-  query_context_.MergeMax(shared_context_);
-  policy_->SetQueryContext(&query_context_);
+void BufferManager::EndQuery(uint64_t id) {
+  leases_.Remove(id);
+  PublishLeases();
+}
+
+void BufferManager::PublishLeases() {
+  context_ = leases_.Merged();
+  policy_->SetQueryContext(context_.get());
 }
 
 void BufferManager::Flush() {

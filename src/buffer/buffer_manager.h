@@ -7,7 +7,6 @@
 #define IRBUF_BUFFER_BUFFER_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -22,18 +21,6 @@
 #include "util/status.h"
 
 namespace irbuf::buffer {
-
-/// Victim metadata handed to eviction observers: which page left the
-/// pool, its stored max weight, its ranking-aware replacement value
-/// (max_weight * w_{q,t} under the effective query context, 0 when the
-/// term is not in the current query) and its age in fetches since it was
-/// placed in the frame.
-struct EvictionEvent {
-  PageId page;
-  double max_weight = 0.0;
-  double value = 0.0;
-  uint64_t age_fetches = 0;
-};
 
 /// A fixed-capacity buffer pool. Single-threaded (the simulator's
 /// setting); serve::ConcurrentBufferPool is the thread-safe counterpart.
@@ -64,15 +51,11 @@ class BufferManager final : public FrameDirectory, public BufferPool {
     return term < term_resident_.size() ? term_resident_[term] : 0;
   }
 
-  /// Installs the current query's term weights for ranking-aware policies.
-  void SetQueryContext(QueryContext context) override;
-
-  /// Multi-user extension (Section 3.3): weights of the *other* queries
-  /// currently sharing this pool. Merged (max per term) into every query
-  /// context installed via SetQueryContext, so RAP does not treat pages
-  /// another active user still needs as worthless. Pass an empty context
-  /// to clear.
-  void SetSharedContext(QueryContext shared);
+  /// The replacement context is the max-merge of every live lease: one
+  /// lease in the single-user simulator; in ir::RunMultiUserWorkload's
+  /// shared-context mode, also one per other user (Section 3.3), so RAP
+  /// does not treat pages another active user still needs as worthless.
+  QueryLease BeginQuery(QueryContext weights) override;
 
   /// Drops every page (the paper flushes buffers between refinement
   /// sequences and between independent queries). All pins must have been
@@ -94,15 +77,11 @@ class BufferManager final : public FrameDirectory, public BufferPool {
 
   /// Installs (or clears, with nullptr) the per-query tracer: every
   /// fetch is recorded tagged hit/miss and every eviction is recorded
-  /// with victim metadata. The tracer must outlive its installation.
+  /// with victim metadata (its stored max weight, its replacement value
+  /// max_weight * w_{q,t} under the live leases' context, and its age in
+  /// fetches since it entered the frame). The tracer must outlive its
+  /// installation.
   void SetTracer(obs::QueryTracer* tracer) { tracer_ = tracer; }
-
-  /// Optional eviction observer (replacement-policy studies hook in
-  /// here without subclassing a policy). Runs after the policy's
-  /// OnEvict, before the frame is reused. Pass {} to clear.
-  void SetEvictionCallback(std::function<void(const EvictionEvent&)> cb) {
-    eviction_cb_ = std::move(cb);
-  }
 
   /// Resolves metric handles in `registry` (buffer.fetches, buffer.hits,
   /// buffer.misses, buffer.evictions, buffer.victim_fallbacks,
@@ -147,6 +126,10 @@ class BufferManager final : public FrameDirectory, public BufferPool {
 
   // BufferPool:
   void Unpin(uint32_t frame) override;
+  void EndQuery(uint64_t id) override;
+
+  /// Hands the policy the merge of the live leases.
+  void PublishLeases();
 
   /// FetchPinned's fetch before the pin; `*was_miss` reports the
   /// hit/miss outcome and `*frame_out` the frame the page landed in.
@@ -174,12 +157,14 @@ class BufferManager final : public FrameDirectory, public BufferPool {
   std::vector<FrameId> free_frames_;
   std::unordered_map<uint64_t, FrameId> page_table_;
   std::vector<uint32_t> term_resident_;
-  QueryContext query_context_;
-  QueryContext shared_context_;
+  LiveLeases leases_;
+  /// What the policy points at: leases_.Merged() as of the last lease
+  /// change.
+  std::shared_ptr<const QueryContext> context_ =
+      std::make_shared<const QueryContext>();
   BufferStats stats_;
   uint64_t fetch_tick_ = 0;
   obs::QueryTracer* tracer_ = nullptr;
-  std::function<void(const EvictionEvent&)> eviction_cb_;
   MetricHandles metrics_;
   /// Miss-path retry/breaker wrapper; null = plain reads.
   std::unique_ptr<fault::ResilientReader> resilient_;

@@ -12,6 +12,13 @@
 // hold at most one pin at a time — page N's guard is released before
 // page N+1 is fetched — so a pool with capacity >= the number of
 // concurrent readers can always find a victim.
+//
+// The lease protocol. BeginQuery registers one query's term weights
+// w_{q,t} with the pool for ranking-aware replacement and returns a
+// QueryLease RAII guard; the weights stay part of the pool's
+// replacement context until the guard dies. Evaluators take one lease
+// per run, before their first fetch, so the pool — not its callers —
+// decides whose weights RAP sees.
 
 #ifndef IRBUF_BUFFER_BUFFER_POOL_H_
 #define IRBUF_BUFFER_BUFFER_POOL_H_
@@ -114,6 +121,40 @@ class PinnedPage {
   bool was_miss_ = false;
 };
 
+/// RAII registration of one query's term weights with a pool (see
+/// BufferPool::BeginQuery). While alive, the weights are part of the
+/// pool's replacement context; destruction (or End) removes them. Must
+/// not outlive its pool. Move-only.
+class QueryLease {
+ public:
+  QueryLease() = default;
+  QueryLease(BufferPool* pool, uint64_t id) : pool_(pool), id_(id) {}
+
+  QueryLease(const QueryLease&) = delete;
+  QueryLease& operator=(const QueryLease&) = delete;
+
+  QueryLease(QueryLease&& other) noexcept
+      : pool_(std::exchange(other.pool_, nullptr)), id_(other.id_) {}
+
+  QueryLease& operator=(QueryLease&& other) noexcept {
+    if (this != &other) {
+      End();
+      pool_ = std::exchange(other.pool_, nullptr);
+      id_ = other.id_;
+    }
+    return *this;
+  }
+
+  ~QueryLease() { End(); }
+
+  /// Ends the lease early; the guard becomes empty.
+  void End();
+
+ private:
+  BufferPool* pool_ = nullptr;
+  uint64_t id_ = 0;
+};
+
 /// What query evaluation needs from a buffer pool. Implemented by the
 /// single-threaded BufferManager and by the thread-safe serving pool;
 /// evaluators are written against this interface only.
@@ -131,12 +172,13 @@ class BufferPool {
   /// what BAF's disk-read estimate d_t = max(p_t - b_t, 0) needs.
   virtual uint32_t ResidentPages(TermId term) const = 0;
 
-  /// Installs the current query's term weights for ranking-aware
-  /// policies. A single-user pool adopts them directly; the serving
-  /// pool does too, unless a serve::SharedQueryContext is attached —
-  /// then the replacement context is the merged weights of every
-  /// in-flight query and this call becomes a no-op.
-  virtual void SetQueryContext(QueryContext context) = 0;
+  /// Leases `weights` (one query's w_{q,t}) to ranking-aware policies
+  /// until the returned guard dies. The replacement context is the
+  /// max-merge of every live lease (Section 3.3: "the highest w_{q,t}
+  /// could be used") — except in a ConcurrentBufferPool with
+  /// shared_context off, which uses the newest lease and keeps it after
+  /// the lease ends.
+  [[nodiscard]] virtual QueryLease BeginQuery(QueryContext weights) = 0;
 
   /// Point-in-time copy of the pool counters (taken atomically enough
   /// for reporting; exact when the pool is quiesced).
@@ -157,9 +199,13 @@ class BufferPool {
 
  private:
   friend class PinnedPage;
+  friend class QueryLease;
 
   /// Drops one pin from `frame`. Called only by PinnedPage.
   virtual void Unpin(uint32_t frame) = 0;
+
+  /// Removes lease `id`'s weights. Called only by QueryLease.
+  virtual void EndQuery(uint64_t id) = 0;
 };
 
 inline void PinnedPage::Release() {
@@ -167,6 +213,12 @@ inline void PinnedPage::Release() {
     pool_->Unpin(frame_);
     pool_ = nullptr;
     page_ = nullptr;
+  }
+}
+
+inline void QueryLease::End() {
+  if (pool_ != nullptr) {
+    std::exchange(pool_, nullptr)->EndQuery(id_);
   }
 }
 

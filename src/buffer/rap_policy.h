@@ -24,9 +24,9 @@
 //  * An indexed binary min-heap over the terms, keyed by candidate, holds
 //    the victim at its root: ChooseVictim is O(1), OnInsert/OnEvict are
 //    O(log T) for T terms with resident pages.
-//  * SetQueryContext is O(1): it only marks the weights stale, because
-//    BufferManager mutates its context in place and republishes the same
-//    pointer. The next ChooseVictim re-reads w_{q,t} for the terms the
+//  * SetQueryContext is O(1): it only marks the weights stale (a caller
+//    may also mutate its context in place and republish the same
+//    pointer). The next ChooseVictim re-reads w_{q,t} for the terms the
 //    previous context weighted and the terms the new one names, and
 //    re-keys those whose weight changed; every other term keeps
 //    w_{q,t} = 0 and its key.

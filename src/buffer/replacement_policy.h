@@ -63,8 +63,9 @@ class ReplacementPolicy {
   /// Picks the frame to evict. The pool is full when this is called.
   virtual FrameId ChooseVictim() = 0;
 
-  /// New query starting: ranking-aware policies may use its weights.
-  /// Default: ignored.
+  /// The pool's replacement context changed (a query lease began or
+  /// ended): ranking-aware policies may use its weights. The pointee
+  /// stays valid until the next call. Default: ignored.
   virtual void SetQueryContext(const QueryContext* context) {
     (void)context;
   }

@@ -13,7 +13,8 @@ Result<BooleanResult> BooleanEvaluator::Evaluate(
   BooleanResult result;
   if (query.empty()) return result;
 
-  buffers->SetQueryContext(BuildQueryContext(query, index_->lexicon()));
+  const buffer::QueryLease lease =
+      buffers->BeginQuery(BuildQueryContext(query, index_->lexicon()));
 
   // doc -> number of distinct query terms containing it.
   std::unordered_map<DocId, uint32_t> matches;

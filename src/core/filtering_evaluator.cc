@@ -248,7 +248,7 @@ void FilteringEvaluator::TermwiseRun::Begin(const Query& query,
   }
   obs::ScopedSpan snapshot_span(evaluator_->options_.span_recorder,
                                 obs::SpanStage::kContextSnapshot);
-  buffers_->SetQueryContext(
+  lease_ = buffers_->BeginQuery(
       BuildQueryContext(query, evaluator_->index_->lexicon()));
 }
 
@@ -277,6 +277,7 @@ EvalResult FilteringEvaluator::TermwiseRun::Finish() {
     result_.top_docs = SelectTopN(accumulators_, *evaluator_->index_,
                                   evaluator_->options_.top_n);
   }
+  lease_.End();
   result_.accumulators = accumulators_.size();
   result_.degraded = result_.pages_lost > 0 || result_.deadline_hit ||
                      result_.work_trimmed || result_.shards_lost > 0;

@@ -212,8 +212,9 @@ class FilteringEvaluator {
     TermwiseRun(TermwiseRun&&) = default;
     TermwiseRun& operator=(TermwiseRun&&) = delete;
 
-    /// Installs the query's replacement context on the pool (a no-op
-    /// under an attached shared context) and remembers `control` (may
+    /// Leases the query's term weights on the pool (see
+    /// BufferPool::BeginQuery) until Finish, or until the run is
+    /// destroyed if it never finishes, and remembers `control` (may
     /// be null) for Step's per-term page budget. The control is copied
     /// BY VALUE into the run: an abandoned-straggler Step may execute
     /// after the coordinator's Evaluate returned, so it must never
@@ -242,13 +243,15 @@ class FilteringEvaluator {
     /// terms it cuts here before Finish.
     EvalResult* mutable_result() { return &result_; }
 
-    /// Normalizes and selects this run's top n (steps 5-6) and returns
-    /// the accumulated result. The run is spent afterwards.
+    /// Normalizes and selects this run's top n (steps 5-6), ends the
+    /// lease and returns the accumulated result. The run is spent
+    /// afterwards.
     EvalResult Finish();
 
    private:
     const FilteringEvaluator* evaluator_;
     buffer::BufferPool* buffers_;
+    buffer::QueryLease lease_;
     /// Value copy of Begin's control (see Begin); has_control_ gates it
     /// so a null caller pointer stays "no control" for ProcessTerm.
     EvalControl control_;

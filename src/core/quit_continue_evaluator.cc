@@ -11,7 +11,8 @@ Result<EvalResult> QuitContinueEvaluator::Evaluate(
   EvalResult result;
   if (query.empty()) return result;
 
-  buffers->SetQueryContext(BuildQueryContext(query, index_->lexicon()));
+  const buffer::QueryLease lease =
+      buffers->BeginQuery(BuildQueryContext(query, index_->lexicon()));
 
   // Decreasing-idf order, as in DF's step 3.
   const index::Lexicon& lexicon = index_->lexicon();

@@ -35,18 +35,20 @@ Result<MultiUserResult> RunMultiUserWorkload(
     for (size_t user = 0; user < sequences.size(); ++user) {
       if (step >= sequences[user].steps.size()) continue;
 
+      // The replacement context must keep valuing what *other* active
+      // users are working with (max w_{q,t} per shared term): each holds
+      // a lease on its current query, or on its last one once its
+      // sequence is exhausted. A user with no steps has no query.
+      std::vector<buffer::QueryLease> others;
       if (options.shared_context) {
-        // The replacement context must keep valuing what *other* active
-        // users are working with (max w_{q,t} per shared term).
-        buffer::QueryContext shared;
         for (size_t other = 0; other < sequences.size(); ++other) {
-          if (other == user) continue;
-          size_t other_step =
-              std::min(step, sequences[other].steps.size() - 1);
-          shared.MergeMax(core::BuildQueryContext(
-              sequences[other].steps[other_step].query, index.lexicon()));
+          const std::vector<workload::RefinementStep>& other_steps =
+              sequences[other].steps;
+          if (other == user || other_steps.empty()) continue;
+          const size_t other_step = std::min(step, other_steps.size() - 1);
+          others.push_back(buffers.BeginQuery(core::BuildQueryContext(
+              other_steps[other_step].query, index.lexicon())));
         }
-        buffers.SetSharedContext(std::move(shared));
       }
 
       const uint64_t misses_before = buffers.stats().misses;

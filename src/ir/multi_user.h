@@ -66,7 +66,8 @@ struct MultiUserResult {
 
 /// Runs one refinement sequence per user over a single cold shared pool,
 /// interleaving steps round-robin (user 0 step 0, user 1 step 0, ...,
-/// user 0 step 1, ...). Users whose sequences are exhausted drop out.
+/// user 0 step 1, ...). Users whose sequences are exhausted drop out;
+/// with shared_context on, their last query stays leased on the pool.
 Result<MultiUserResult> RunMultiUserWorkload(
     const index::InvertedIndex& index,
     const std::vector<workload::RefinementSequence>& sequences,

@@ -134,8 +134,8 @@ std::string ToChromeTraceJson(const std::vector<ThreadSpans>& threads) {
 
 SpanAttribution ComputeAttribution(const std::vector<ThreadSpans>& threads) {
   // Per-query accounting: wall = sum of that query's depth-0 spans
-  // (queue wait + context snapshot + evaluate ≈ client-visible
-  // latency); per-stage totals are inclusive over all depths.
+  // (queue wait + evaluate ≈ client-visible latency); per-stage totals
+  // are inclusive over all depths.
   struct PerQuery {
     uint64_t wall_ns = 0;
     std::array<uint64_t, kNumSpanStages> stage_ns{};

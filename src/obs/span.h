@@ -48,13 +48,13 @@ namespace irbuf::obs {
 /// The stages of a served query's life that the serve path is
 /// instrumented to time. Nesting at the recording sites follows this
 /// containment: Evaluate > TermLoop > {PagePin > MissRead > {CrcVerify,
-/// BlockDecode}, Accumulate} and Evaluate > TopKMerge; QueueWait and
-/// ContextSnapshot are top-level siblings of Evaluate. LockWait spans
-/// are injected by the mutex-contention bridge at whatever depth the
-/// blocked thread happened to be.
+/// BlockDecode}, Accumulate}, Evaluate > TopKMerge and Evaluate >
+/// ContextSnapshot; QueueWait is a top-level sibling of Evaluate.
+/// LockWait spans are injected by the mutex-contention bridge at
+/// whatever depth the blocked thread happened to be.
 enum class SpanStage : uint8_t {
   kQueueWait = 0,    // admission-queue dwell: submit → worker pickup
-  kContextSnapshot,  // shared query-context registration
+  kContextSnapshot,  // a run's query-weight lease (BufferPool::BeginQuery)
   kEvaluate,         // whole evaluator call
   kTermLoop,         // one query term's posting traversal
   kPagePin,          // buffer-pool FetchPinned (hit or miss)

@@ -54,14 +54,18 @@ ConcurrentBufferPool::~ConcurrentBufferPool() {
     prefetch_cv_.NotifyAll();
     for (std::thread& worker : prefetch_workers_) worker.join();
   }
-  // Quiescent-state contracts: every PinnedPage guard must have been
-  // released (a live guard would read a destroyed frame), every
-  // in-flight load must have reached a terminal state, and with no
-  // fetch in flight the counters must conserve exactly — including the
-  // device-read identity that coalescing makes exact.
+  // Quiescent-state contracts: every PinnedPage and QueryLease guard
+  // must have been released (a live guard would call into a destroyed
+  // pool), every in-flight load must have reached a terminal state, and
+  // with no fetch in flight the counters must conserve exactly —
+  // including the device-read identity that coalescing makes exact.
   for (const Frame& f : frames_) {
     IRBUF_DCHECK(f.pins.load(std::memory_order_relaxed) == 0,
                  "pool destroyed with outstanding pins");
+  }
+  {
+    MutexLock lock(lease_mu_);
+    IRBUF_DCHECK(leases_.empty(), "pool destroyed with live query leases");
   }
   for (Stripe& stripe : stripes_) {
     MutexLock stripe_lock(stripe.mu);
@@ -593,17 +597,25 @@ uint32_t ConcurrentBufferPool::PinCount(PageId id) const {
              : frames_[it->second].pins.load(std::memory_order_relaxed);
 }
 
-void ConcurrentBufferPool::SetQueryContext(buffer::QueryContext context) {
-  if (external_context_.load(std::memory_order_relaxed)) return;
-  PublishContext(
-      std::make_shared<const buffer::QueryContext>(std::move(context)));
+buffer::QueryLease ConcurrentBufferPool::BeginQuery(
+    buffer::QueryContext weights) {
+  auto context =
+      std::make_shared<const buffer::QueryContext>(std::move(weights));
+  MutexLock lock(lease_mu_);
+  const uint64_t id = leases_.Add(context);
+  PublishLocked(options_.shared_context ? leases_.Merged()
+                                        : std::move(context));
+  return buffer::QueryLease(this, id);
 }
 
-void ConcurrentBufferPool::PublishContext(
+void ConcurrentBufferPool::EndQuery(uint64_t id) {
+  MutexLock lock(lease_mu_);
+  leases_.Remove(id);
+  if (options_.shared_context) PublishLocked(leases_.Merged());
+}
+
+void ConcurrentBufferPool::PublishLocked(
     std::shared_ptr<const buffer::QueryContext> context) {
-  if (context == nullptr) {
-    context = std::make_shared<const buffer::QueryContext>();
-  }
   MutexLock latch(latch_mu_);
   context_ = std::move(context);
   policy_->SetQueryContext(context_.get());

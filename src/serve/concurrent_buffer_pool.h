@@ -2,10 +2,13 @@
 // pool of page frames shared by every worker of a QueryServer, accessed
 // exclusively through the pin/unpin protocol of buffer::BufferPool.
 //
-// Locking design (lock order: latch -> stripe; never the reverse while
-// acquiring; prefetch_mu_ is a standalone leaf — never held while
-// acquiring any other pool lock):
+// Locking design (lock order: lease -> latch -> stripe; never the
+// reverse while acquiring; prefetch_mu_ is a standalone leaf — never
+// held while acquiring any other pool lock):
 //
+//  * The live query leases (BeginQuery) sit behind their own mutex,
+//    taken once per query start and end, never per page. It is held
+//    across the context publish so publishes land in lease order.
 //  * The page table is striped: each stripe owns a mutex, the resident
 //    page -> frame map of its hash slice, the in-flight table of pages
 //    currently being loaded (PageLoad mini-FSMs), and a condition
@@ -148,6 +151,12 @@ struct ConcurrentPoolOptions {
   /// the page-table stripes (see LatchWaitStats/StripeWaitStats). Off
   /// by default: locking then keeps the uninstrumented fast path.
   bool profile_contention = false;
+  /// The replacement context from the live query leases. On: the
+  /// max-merge of every query in flight (Section 3.3's multi-user
+  /// sketch), republished whenever a lease begins or ends. Off: the
+  /// newest lease, kept after it ends — last writer wins, the honest
+  /// per-query semantics under concurrency.
+  bool shared_context = false;
 };
 
 /// Readahead + coalescing accounting (all zero with prefetch off except
@@ -204,15 +213,10 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
                : 0;
   }
 
-  /// Standalone mode (no external context publisher): installs `context`
-  /// for ranking-aware policies, like BufferManager does — the evaluators
-  /// call this at the top of Evaluate. Once SetExternalContextMode(true)
-  /// is set (by SharedQueryContext), the call becomes a no-op: the
-  /// replacement context is then the merged weights of every in-flight
-  /// query, published via PublishContext, and must not be clobbered by
-  /// whichever query happens to start last.
-  void SetQueryContext(buffer::QueryContext context) override
-      IRBUF_EXCLUDES(latch_mu_);
+  /// Leases `weights` to the policy; what the policy sees follows
+  /// options.shared_context. Taken once per evaluation run.
+  buffer::QueryLease BeginQuery(buffer::QueryContext weights) override
+      IRBUF_EXCLUDES(lease_mu_, latch_mu_);
 
   buffer::BufferStats StatsSnapshot() const override;
 
@@ -236,17 +240,6 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   /// Readahead/coalescing counters (relaxed; exact at quiescence).
   PoolPrefetchStats PrefetchStatsSnapshot() const;
-
-  /// Installs a pre-merged replacement context (serving mode). The pool
-  /// keeps the shared_ptr alive so the policy's raw pointer stays valid
-  /// until the next publish.
-  void PublishContext(std::shared_ptr<const buffer::QueryContext> context)
-      IRBUF_EXCLUDES(latch_mu_);
-
-  /// See SetQueryContext. Flipped on by SharedQueryContext::Attach.
-  void SetExternalContextMode(bool external) {
-    external_context_.store(external, std::memory_order_relaxed);
-  }
 
   /// Installs `observer` (nullptr to clear) for eviction-sequence
   /// tests. Install before traffic; runs under the latch.
@@ -359,6 +352,12 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   // BufferPool:
   void Unpin(uint32_t frame) override;
+  void EndQuery(uint64_t id) override IRBUF_EXCLUDES(lease_mu_, latch_mu_);
+
+  /// Hands the policy `context`; the pool keeps the shared_ptr alive so
+  /// the policy's raw pointer stays valid until the next publish.
+  void PublishLocked(std::shared_ptr<const buffer::QueryContext> context)
+      IRBUF_REQUIRES(lease_mu_) IRBUF_EXCLUDES(latch_mu_);
 
   /// Evicts one unpinned, untagged frame and returns it, or
   /// kInvalidFrame when every such frame is pinned. Prefetch-tagged
@@ -431,6 +430,10 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   std::array<Stripe, kStripes> stripes_;
 
+  /// The live query leases. Lock order: lease_mu_ before latch_mu_.
+  Mutex lease_mu_;
+  buffer::LiveLeases leases_ IRBUF_GUARDED_BY(lease_mu_);
+
   /// Pool-wide latch: policy_, free_frames_, frame metadata, fetch_tick_,
   /// the prefetch-tagged window and context_. Lock order: latch_mu_
   /// before any stripe mutex.
@@ -441,8 +444,7 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
       IRBUF_PT_GUARDED_BY(latch_mu_);
   std::vector<buffer::FrameId> free_frames_ IRBUF_GUARDED_BY(latch_mu_);
   uint64_t fetch_tick_ IRBUF_GUARDED_BY(latch_mu_) = 0;
-  /// The published replacement context; owning pointer keeps the
-  /// QueryContext the policy points at alive.
+  /// The published replacement context (see PublishLocked).
   std::shared_ptr<const buffer::QueryContext> context_
       IRBUF_GUARDED_BY(latch_mu_);
   /// FIFO of prefetch-tagged frames, oldest first; bounded by
@@ -452,7 +454,6 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   std::vector<Frame> frames_;
   std::vector<std::atomic<uint32_t>> term_resident_;
-  std::atomic<bool> external_context_{false};
 
   // Counters are incremented pairwise (fetches with exactly one of
   // hits/misses), so fetches == hits + misses holds at quiescence; and

@@ -5,9 +5,8 @@
 // FilteringEvaluator); the doc-partitioned scatter-gather engine in
 // src/shard/ is the other implementation. The seam points this way —
 // serve/ defines the interface, shard/ implements it — because the
-// shard engine is built from serve/ parts (per-shard ConcurrentBufferPool
-// and SharedQueryContext instances), so the reverse dependency would be
-// circular.
+// shard engine is built from serve/ parts (one ConcurrentBufferPool per
+// shard), so the reverse dependency would be circular.
 
 #ifndef IRBUF_SERVE_QUERY_ENGINE_H_
 #define IRBUF_SERVE_QUERY_ENGINE_H_
@@ -30,9 +29,9 @@ class QueryEngine {
   /// null); `query_id` is the server-unique id the engine should tag any
   /// spans it records with (so cross-thread work is attributed to the
   /// query on the trace timeline). Must be safe to call from multiple
-  /// worker threads at once. Shared-context registration, when the
-  /// engine supports it, is the engine's own responsibility — the
-  /// server does not pre-register external-engine queries.
+  /// worker threads at once. The engine's evaluators lease each
+  /// query's weights on the engine's own pools; the server registers
+  /// nothing.
   virtual Result<core::EvalResult> Evaluate(
       const core::Query& query, const core::EvalControl* control,
       uint32_t query_id) = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/scorer.h"
 #include "fault/backoff.h"
 #include "util/str.h"
 
@@ -25,6 +24,7 @@ ConcurrentPoolOptions PoolOptionsFor(const ServerOptions& options) {
   pool.resilience = options.resilience;
   pool.span_recorder = options.span_recorder;
   pool.profile_contention = options.profile_contention;
+  pool.shared_context = options.shared_context;
   return pool;
 }
 
@@ -58,9 +58,6 @@ QueryServer::QueryServer(const index::InvertedIndex* index,
       pool_(&index->disk(), PoolOptionsFor(options_)),
       evaluator_(index, EvalOptionsFor(options_)),
       service_time_us_(LatencyBucketsUs()) {
-  if (options_.shared_context && options_.engine == nullptr) {
-    shared_context_.Attach(&pool_);
-  }
   if (options_.profile_contention) {
     queue_mu_.TrackContention(&queue_waits_);
   }
@@ -229,19 +226,6 @@ void QueryServer::RunTask(Task task, double queue_delay_ewma_us) {
     spans->RecordManual(obs::SpanStage::kQueueWait, task.submitted_ns,
                         service_start_ns, task.query_id);
   }
-  const bool internal_context =
-      options_.shared_context && options_.engine == nullptr;
-  uint64_t ticket = 0;
-  if (internal_context) {
-    // Register this query's weights among the in-flight contexts before
-    // the first fetch, so the published merge values its pages from the
-    // start; the evaluator's own SetQueryContext call is a no-op in
-    // external-context mode. (An external engine registers with its own
-    // per-shard contexts inside Evaluate.)
-    obs::ScopedSpan snapshot_span(spans, obs::SpanStage::kContextSnapshot);
-    ticket = shared_context_.Register(
-        core::BuildQueryContext(task.query, index_->lexicon()));
-  }
   core::EvalControl control;
   const core::EvalControl* control_ptr = nullptr;
   if (task.deadline_us > 0) {
@@ -285,7 +269,6 @@ void QueryServer::RunTask(Task task, double queue_delay_ewma_us) {
     }
     return evaluator_.Evaluate(task.query, &pool_, control_ptr);
   }();
-  if (internal_context) shared_context_.Unregister(ticket);
   const uint64_t end_ns = MonotonicNowNs();
   if (spans != nullptr) spans->SetCurrentQuery(obs::SpanRecorder::kNoQuery);
 

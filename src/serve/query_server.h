@@ -2,7 +2,8 @@
 // worker threads evaluates queries from a bounded admission queue over
 // one shared ConcurrentBufferPool, with per-session accounting for
 // refinement sequences and (optionally) shared-context ranking-aware
-// replacement via SharedQueryContext.
+// replacement: the pool merges the weights its in-flight queries lease
+// (ConcurrentPoolOptions::shared_context).
 //
 // Admission control: Submit is non-blocking. When the queue holds
 // `queue_depth` waiting queries the submission is REJECTED with
@@ -40,7 +41,6 @@
 #include "obs/span.h"
 #include "serve/concurrent_buffer_pool.h"
 #include "serve/query_engine.h"
-#include "serve/shared_query_context.h"
 #include "util/monotonic_clock.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -95,8 +95,9 @@ struct ServerOptions {
   core::EvalOptions eval;
   /// Merge the weights of every in-flight query into the replacement
   /// context (Section 3.3; meaningful for ranking-aware policies). Off:
-  /// each evaluation installs its own context, last writer wins — the
-  /// honest per-query semantics under concurrency.
+  /// each evaluation leases its own context, last writer wins — the
+  /// honest per-query semantics under concurrency. Becomes the pool's
+  /// ConcurrentPoolOptions::shared_context.
   bool shared_context = false;
   /// Simulated device latency per buffer miss (see ConcurrentPoolOptions).
   uint32_t io_delay_us_per_miss = 0;
@@ -288,7 +289,6 @@ class QueryServer {
   const index::InvertedIndex* index_;
   const ServerOptions options_;
   ConcurrentBufferPool pool_;
-  SharedQueryContext shared_context_;
   core::FilteringEvaluator evaluator_;
 
   /// Admission-queue latch. Never held while joining a worker (the

@@ -7,7 +7,8 @@
 namespace irbuf::shard {
 
 ShardedBufferPool::ShardedBufferPool(const ShardedIndex* index,
-                                     const ShardedPoolOptions& options) {
+                                     const ShardedPoolOptions& options,
+                                     bool shared_context) {
   const size_t num_shards = index->num_shards();
   const size_t per_shard =
       std::max<size_t>(2, options.total_pages / std::max<size_t>(1,
@@ -22,6 +23,7 @@ ShardedBufferPool::ShardedBufferPool(const ShardedIndex* index,
     pool.resilience = options.resilience;
     pool.span_recorder = options.span_recorder;
     pool.profile_contention = options.profile_contention;
+    pool.shared_context = shared_context;
     pools_.push_back(std::make_unique<serve::ConcurrentBufferPool>(
         &index->shard(s).disk(), pool));
   }

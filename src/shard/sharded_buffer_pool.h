@@ -56,9 +56,11 @@ struct ShardedPoolOptions {
 /// The per-shard pools of one ShardedIndex.
 class ShardedBufferPool {
  public:
-  /// `index` must outlive the pool.
+  /// `index` must outlive the pool. `shared_context` becomes every
+  /// shard pool's ConcurrentPoolOptions::shared_context (callers set it
+  /// as ShardedEngineOptions::shared_context).
   ShardedBufferPool(const ShardedIndex* index,
-                    const ShardedPoolOptions& options);
+                    const ShardedPoolOptions& options, bool shared_context);
 
   ShardedBufferPool(const ShardedBufferPool&) = delete;
   ShardedBufferPool& operator=(const ShardedBufferPool&) = delete;

@@ -151,20 +151,13 @@ ShardedEngine::ShardedEngine(const ShardedIndex* index,
                              ShardedEngineOptions options)
     : index_(index),
       options_(Normalize(std::move(options))),
-      pool_(index, options_.pool) {
+      pool_(index, options_.pool, options_.shared_context) {
   const size_t num_shards = index_->num_shards();
   core::EvalOptions eval = options_.eval;
   eval.tracer = nullptr;
   evaluators_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     evaluators_.emplace_back(&index_->shard(s), eval);
-  }
-  if (options_.shared_context) {
-    contexts_.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      contexts_.push_back(std::make_unique<serve::SharedQueryContext>());
-      contexts_[s]->Attach(pool_.shard(s));
-    }
   }
   lanes_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
@@ -268,34 +261,11 @@ Result<core::EvalResult> ShardedEngine::Evaluate(
   const index::Lexicon& lexicon = index_->lexicon();
   obs::SpanRecorder* const spans = options_.eval.span_recorder;
 
-  // Register this query among every shard's in-flight contexts before
-  // the first fetch (shared-context mode), exactly like the unsharded
-  // server does for its one pool — and make sure all of them are
-  // released on every exit path.
-  std::vector<uint64_t> tickets;
-  if (options_.shared_context) {
-    obs::ScopedSpan snapshot_span(spans, obs::SpanStage::kContextSnapshot);
-    const buffer::QueryContext weights =
-        core::BuildQueryContext(query, lexicon);
-    tickets.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      tickets.push_back(contexts_[s]->Register(weights));
-    }
-  }
-  struct ContextCleanup {
-    ShardedEngine* engine;
-    const std::vector<uint64_t>* tickets;
-    ~ContextCleanup() {
-      for (size_t s = 0; s < tickets->size(); ++s) {
-        engine->contexts_[s]->Unregister((*tickets)[s]);
-      }
-    }
-  } cleanup{this, &tickets};
-
   // Per-query evaluation state shared with the lanes. Straggler
   // abandonment means a lane may still be inside a Step after the
   // coordinator moved on (or returned), so the runs live on the heap
   // under shared ownership and every lane closure holds a reference.
+  // Each run's Begin leases the query's weights on its shard pool.
   struct QueryRuns {
     std::vector<core::FilteringEvaluator::TermwiseRun> runs;
   };

@@ -64,7 +64,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "serve/query_engine.h"
-#include "serve/shared_query_context.h"
 #include "shard/index_sharder.h"
 #include "shard/sharded_buffer_pool.h"
 #include "util/mutex.h"
@@ -115,8 +114,12 @@ struct ShardedEngineOptions {
   /// Lane threads per shard (>= 1). Use the serving worker count so
   /// every in-flight query can make progress on every shard at once.
   size_t lanes_per_shard = 1;
-  /// Maintain one SharedQueryContext per shard and register every
-  /// query's weights in all of them (Section 3.3 under sharding).
+  /// Each shard pool's RAP context is the max-merge of every query in
+  /// flight on it (ConcurrentPoolOptions::shared_context; Section 3.3
+  /// under sharding). A query's shard run leases its weights from Begin
+  /// until Finish. A forfeited shard's run never finishes, so its lease
+  /// ends when the query's runs are destroyed: once Evaluate has
+  /// returned and every abandoned straggler Step has returned too.
   bool shared_context = false;
 
   // --- Shard failure domains ---
@@ -204,8 +207,6 @@ class ShardedEngine final : public serve::QueryEngine {
   const ShardedEngineOptions options_;
   ShardedBufferPool pool_;
   std::vector<core::FilteringEvaluator> evaluators_;
-  /// Per-shard in-flight-context registries (shared_context mode).
-  std::vector<std::unique_ptr<serve::SharedQueryContext>> contexts_;
   std::vector<std::unique_ptr<ShardLanes>> lanes_;
   /// Per-shard failure-domain breakers (empty when disabled). Their
   /// own mutex serializes feeding; persists across queries.

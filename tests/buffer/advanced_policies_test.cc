@@ -160,7 +160,7 @@ TEST(AllPoliciesTest, SurviveChurnAndFlush) {
     QueryContext ctx;
     ctx.SetWeight(0, 1.0);
     ctx.SetWeight(1, 2.0);
-    bm.SetQueryContext(ctx);
+    const QueryLease lease = bm.BeginQuery(ctx);
     uint32_t seq = 0;
     for (int step = 0; step < 500; ++step) {
       TermId term = seq % 3;

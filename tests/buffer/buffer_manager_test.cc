@@ -150,49 +150,32 @@ TEST(BufferManagerTest, ResetStatsLeavesDiskCountersAlone) {
   EXPECT_EQ(bm.stats().hits, 1u);
 }
 
-TEST(BufferManagerTest, EvictionCallbackSeesVictimMetadata) {
+TEST(BufferManagerTest, TracerRecordsFetchesAndEvictions) {
   auto disk = MakeTestDisk({3});
   BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
   QueryContext context;
   context.SetWeight(0, 2.0);
-  bm.SetQueryContext(std::move(context));
-
-  std::vector<EvictionEvent> events;
-  bm.SetEvictionCallback(
-      [&](const EvictionEvent& ev) { events.push_back(ev); });
-
-  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Evicts (0,0), LRU.
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].page, (PageId{0, 0}));
-  // The RAP-style replacement value is max_weight * w_{q,t}.
-  EXPECT_DOUBLE_EQ(events[0].value, events[0].max_weight * 2.0);
-  // (0,0) entered at fetch 1; the eviction happens during fetch 3.
-  EXPECT_EQ(events[0].age_fetches, 2u);
-
-  // Clearing the callback stops delivery but not eviction itself.
-  bm.SetEvictionCallback({});
-  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Evicts again.
-  EXPECT_EQ(bm.stats().evictions, 2u);
-  EXPECT_EQ(events.size(), 1u);
-}
-
-TEST(BufferManagerTest, TracerRecordsFetchesAndEvictions) {
-  auto disk = MakeTestDisk({3});
-  BufferManager bm(disk.get(), 2, std::make_unique<LruPolicy>());
+  const QueryLease lease = bm.BeginQuery(std::move(context));
   obs::QueryTracer tracer;
   bm.SetTracer(&tracer);
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // miss
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // hit
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // miss
-  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // miss + evict
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // miss + evict (0,0)
 
   EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kFetch), 4u);
   EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kEvict), 1u);
   size_t hits = 0;
   for (const obs::TraceEvent& e : tracer.events()) {
     if (e.kind == obs::TraceEventKind::kFetch && e.hit) ++hits;
+    if (e.kind != obs::TraceEventKind::kEvict) continue;
+    EXPECT_EQ(e.term, 0u);
+    EXPECT_EQ(e.page_no, 0u);
+    // The RAP-style replacement value is max_weight * w_{q,t}.
+    EXPECT_DOUBLE_EQ(e.a, 100.0);
+    EXPECT_DOUBLE_EQ(e.b, e.a * 2.0);
+    // (0,0) entered at fetch 1; the eviction happens during fetch 4.
+    EXPECT_EQ(e.n, 3u);
   }
   EXPECT_EQ(hits, 1u);
 

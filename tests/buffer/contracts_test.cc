@@ -108,6 +108,20 @@ TEST_F(ContractsDeathTest, PoolDestructionWithLivePinDies) {
       "outstanding pins");
 }
 
+// So does destroying it while a query still holds a lease.
+TEST_F(ContractsDeathTest, PoolDestructionWithLiveLeaseDies) {
+  EXPECT_DEATH(
+      {
+        auto disk = MakeTestDisk({2});
+        auto pool = std::make_unique<serve::ConcurrentBufferPool>(
+            disk.get(), serve::ConcurrentPoolOptions{});
+        QueryLease lease = pool->BeginQuery(QueryContext{});
+        pool.reset();  // Live lease -> contract violation.
+        lease.End();
+      },
+      "live query leases");
+}
+
 #else
 
 TEST(ContractsDeathTest, SkippedWithoutDchecks) {

@@ -22,7 +22,7 @@ TEST(RapPolicyTest, EvictsLowestReplacementValue) {
   // Term 0 pages have stored weights 100, 99, ...; term 1: 200, 199, ...
   auto disk = MakeTestDisk({3, 3});
   BufferManager bm(disk.get(), 3, std::make_unique<RapPolicy>());
-  bm.SetQueryContext(ContextFor({{0, 1.0}, {1, 1.0}}));
+  const QueryLease lease = bm.BeginQuery(ContextFor({{0, 1.0}, {1, 1.0}}));
 
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Value 100.
   ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());  // Value 200.
@@ -37,7 +37,7 @@ TEST(RapPolicyTest, QueryWeightScalesPageValue) {
   BufferManager bm(disk.get(), 3, std::make_unique<RapPolicy>());
   // Term 0 is weighted much higher than term 1, inverting the raw stored
   // weights (Equation 6: value = max-weight * w_{q,t}).
-  bm.SetQueryContext(ContextFor({{0, 10.0}, {1, 1.0}}));
+  const QueryLease lease = bm.BeginQuery(ContextFor({{0, 10.0}, {1, 1.0}}));
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Value 1000.
   ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());  // Value 200.
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // Value 990.
@@ -50,14 +50,14 @@ TEST(RapPolicyTest, DroppedTermPagesEvictedFirst) {
   // w_{q,t} = 0 and go first, even if their stored weights are huge.
   auto disk = MakeTestDisk({3, 3});
   BufferManager bm(disk.get(), 4, std::make_unique<RapPolicy>());
-  bm.SetQueryContext(ContextFor({{0, 1.0}, {1, 1.0}}));
+  QueryLease lease = bm.BeginQuery(ContextFor({{0, 1.0}, {1, 1.0}}));
   ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());
   ASSERT_TRUE(bm.FetchPinned(PageId{1, 1}).ok());
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
 
   // Refined query: term 1 dropped.
-  bm.SetQueryContext(ContextFor({{0, 1.0}}));
+  lease = bm.BeginQuery(ContextFor({{0, 1.0}}));
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Needs an eviction.
   // A term-1 page must have gone, not a term-0 page.
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));
@@ -69,11 +69,11 @@ TEST(RapPolicyTest, TailEvictedBeforeHead) {
   // Among equal (zero) values, the tail of the list goes before the head.
   auto disk = MakeTestDisk({3});
   BufferManager bm(disk.get(), 2, std::make_unique<RapPolicy>());
-  bm.SetQueryContext(ContextFor({{0, 1.0}}));
+  QueryLease lease = bm.BeginQuery(ContextFor({{0, 1.0}}));
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
-  // Term 0 dropped: both resident pages now value 0.
-  bm.SetQueryContext(QueryContext{});
+  // Term 0 dropped (no query leases it): both resident pages now value 0.
+  lease.End();
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
   EXPECT_TRUE(bm.Contains(PageId{0, 0}));   // Head kept.
   EXPECT_FALSE(bm.Contains(PageId{0, 1}));  // Tail evicted.
@@ -84,7 +84,7 @@ TEST(RapPolicyTest, FirstPagesSurviveWithinOneTerm) {
   // highest stored weight) should be the one retained.
   auto disk = MakeTestDisk({4});
   BufferManager bm(disk.get(), 2, std::make_unique<RapPolicy>());
-  bm.SetQueryContext(ContextFor({{0, 2.0}}));
+  const QueryLease lease = bm.BeginQuery(ContextFor({{0, 2.0}}));
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Evicts page 1.
@@ -101,29 +101,29 @@ TEST(RapPolicyTest, ValueOfReflectsContext) {
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
   // No context yet: value is 0.
   EXPECT_DOUBLE_EQ(rap->ValueOf(0), 0.0);
-  bm.SetQueryContext(ContextFor({{0, 3.0}}));
+  const QueryLease lease = bm.BeginQuery(ContextFor({{0, 3.0}}));
   EXPECT_DOUBLE_EQ(rap->ValueOf(0), 300.0);
 }
 
 TEST(RapPolicyTest, SharedContextRaiseTakesEffectInPlace) {
-  // BufferManager republishes the same context pointer after mutating it
-  // in place; the policy must still see every change.
+  // A second user's lease changes the pool's merged context mid-run;
+  // the policy must see every change.
   auto disk = MakeTestDisk({4, 4});
   BufferManager bm(disk.get(), 4, std::make_unique<RapPolicy>());
-  bm.SetQueryContext(ContextFor({{0, 1.0}, {1, 1.0}}));
+  QueryLease lease = bm.BeginQuery(ContextFor({{0, 1.0}, {1, 1.0}}));
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Value 100.
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // Value 99.
   ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());  // Value 200.
   ASSERT_TRUE(bm.FetchPinned(PageId{1, 1}).ok());  // Value 199.
 
   // Term 1 dropped: its pages value 0 and go first.
-  bm.SetQueryContext(ContextFor({{0, 1.0}}));
+  lease = bm.BeginQuery(ContextFor({{0, 1.0}}));
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Value 98.
   EXPECT_FALSE(bm.Contains(PageId{1, 1}));
 
-  // Another user raises term 1: (1,0) is now worth 2000, so the lowest
-  // value is term 0's tail.
-  bm.SetSharedContext(ContextFor({{1, 10.0}}));
+  // Another user's lease raises term 1: (1,0) is now worth 2000, so the
+  // lowest value is term 0's tail.
+  const QueryLease other = bm.BeginQuery(ContextFor({{1, 10.0}}));
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 3}).ok());
   EXPECT_TRUE(bm.Contains(PageId{1, 0}));
   EXPECT_FALSE(bm.Contains(PageId{0, 2}));
@@ -305,7 +305,7 @@ void RunDifferential(ListOrder order, uint64_t seed) {
       }
       publish(&fresh);
     } else if (op < 90) {
-      // BufferManager's pattern: mutate in place, republish the pointer.
+      // A caller that mutates its context in place and republishes it.
       contexts[published].SetWeight(rng.NextBounded(kTerms),
                                     weights[rng.NextBounded(6)]);
       publish(&contexts[published]);

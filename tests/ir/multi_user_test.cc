@@ -97,6 +97,27 @@ TEST_F(MultiUserTest, SharedContextProtectsOtherUsersPages) {
   EXPECT_LE(b.value().total_disk_reads, a.value().total_disk_reads);
 }
 
+TEST_F(MultiUserTest, SharedContextSkipsUsersWithoutSteps) {
+  // A user whose sequence is empty has no query to keep valued; the
+  // other user's run must not read a step that does not exist.
+  std::vector<workload::RefinementSequence> sequences;
+  sequences.push_back(SequenceFor({0, 1, 2, 3}));
+  sequences.emplace_back();
+  MultiUserOptions options;
+  options.buffer_pages = 8;
+  options.policy = buffer::PolicyKind::kRap;
+  options.shared_context = true;
+  auto both = RunMultiUserWorkload(tc_->index, sequences, options);
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both.value().users[0].steps_run, sequences[0].steps.size());
+  EXPECT_EQ(both.value().users[1].steps_run, 0u);
+
+  // The empty user leases nothing, so user 0 reads as if alone.
+  auto alone = RunMultiUserWorkload(tc_->index, {sequences[0]}, options);
+  ASSERT_TRUE(alone.ok());
+  EXPECT_EQ(both.value().total_disk_reads, alone.value().total_disk_reads);
+}
+
 TEST_F(MultiUserTest, HitRateAccounting) {
   MultiUserOptions options;
   options.buffer_pages = 4096;  // Everything fits: later steps all hit.

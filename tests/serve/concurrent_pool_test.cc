@@ -24,6 +24,12 @@ ConcurrentPoolOptions Opts(size_t capacity,
   return o;
 }
 
+buffer::QueryContext Weights(TermId term, double weight) {
+  buffer::QueryContext context;
+  context.SetWeight(term, weight);
+  return context;
+}
+
 TEST(ConcurrentPoolTest, PinBlocksEvictionAndReleaseAllows) {
   auto disk = MakeTestDisk({3});
   ConcurrentBufferPool pool(disk.get(), Opts(2));
@@ -125,13 +131,14 @@ void ExpectSingleThreadEquivalence(PolicyKind kind, bool with_context) {
   buffer::BufferManager manager(disk_a.get(), 4, buffer::MakePolicy(kind));
   ConcurrentBufferPool pool(disk_b.get(), Opts(4, kind));
 
+  buffer::QueryLease manager_lease;
+  buffer::QueryLease pool_lease;
   if (with_context) {
     buffer::QueryContext ctx;
     ctx.SetWeight(0, 2.0);
     ctx.SetWeight(2, 5.0);
-    buffer::QueryContext ctx_copy = ctx;
-    manager.SetQueryContext(std::move(ctx));
-    pool.SetQueryContext(std::move(ctx_copy));
+    manager_lease = manager.BeginQuery(ctx);
+    pool_lease = pool.BeginQuery(std::move(ctx));
   }
 
   Pcg32 rng(99);
@@ -168,15 +175,53 @@ TEST(ConcurrentPoolTest, SingleThreadMatchesBufferManagerClock) {
   ExpectSingleThreadEquivalence(PolicyKind::kClock, false);
 }
 
-TEST(ConcurrentPoolTest, ExternalContextModeIgnoresSetQueryContext) {
-  auto disk = MakeTestDisk({2});
+TEST(ConcurrentPoolTest, SharedContextKeepsPagesAnotherLeaseValues) {
+  // Term 0 pages store 100, 99, 98; term 1's one page stores 200.
+  auto disk = MakeTestDisk({3, 1});
+  ConcurrentPoolOptions options = Opts(2, PolicyKind::kRap);
+  options.shared_context = true;
+  ConcurrentBufferPool pool(disk.get(), options);
+  std::vector<PageId> victims;
+  pool.SetEvictionObserver([&](PageId id, bool) { victims.push_back(id); });
+
+  buffer::QueryLease other = pool.BeginQuery(Weights(1, 1.0));
+  const buffer::QueryLease evaluating = pool.BeginQuery(Weights(0, 1.0));
+  ASSERT_TRUE(pool.FetchPinned(PageId{1, 0}).ok());
+  ASSERT_TRUE(pool.FetchPinned(PageId{0, 0}).ok());
+  // Under the merge (1,0) is worth 200 and (0,0) 100, so the page only
+  // the other query values survives. The newest lease alone would value
+  // (1,0) at 0 and evict it.
+  ASSERT_TRUE(pool.FetchPinned(PageId{0, 1}).ok());
+  EXPECT_EQ(victims, (std::vector<PageId>{{0, 0}}));
+
+  // Once the other query ends, (1,0) is worth 0 and is the victim.
+  other.End();
+  ASSERT_TRUE(pool.FetchPinned(PageId{0, 2}).ok());
+  EXPECT_EQ(victims, (std::vector<PageId>{{0, 0}, {1, 0}}));
+  EXPECT_EQ(pool.ResidentPages(1), 0u);
+}
+
+TEST(ConcurrentPoolTest, PerQueryContextIsTheNewestLease) {
+  // Term 0 pages store 100, 99; term 1 pages 200, 199.
+  auto disk = MakeTestDisk({2, 2});
   ConcurrentBufferPool pool(disk.get(), Opts(2, PolicyKind::kRap));
-  pool.SetExternalContextMode(true);
-  buffer::QueryContext ctx;
-  ctx.SetWeight(0, 3.0);
-  pool.SetQueryContext(std::move(ctx));  // Must be a no-op, not a crash.
-  auto r = pool.FetchPinned(PageId{0, 0});
-  EXPECT_TRUE(r.ok());
+  std::vector<PageId> victims;
+  pool.SetEvictionObserver([&](PageId id, bool) { victims.push_back(id); });
+
+  const buffer::QueryLease older = pool.BeginQuery(Weights(1, 1.0));
+  buffer::QueryLease newer = pool.BeginQuery(Weights(0, 1.0));
+  ASSERT_TRUE(pool.FetchPinned(PageId{1, 1}).ok());
+  ASSERT_TRUE(pool.FetchPinned(PageId{0, 1}).ok());
+  // Only the newer lease counts: (1,1) is worth 0 and goes, where the
+  // merge or the older lease would evict (0,1).
+  ASSERT_TRUE(pool.FetchPinned(PageId{1, 0}).ok());
+  EXPECT_EQ(victims, (std::vector<PageId>{{1, 1}}));
+
+  // Ending the newer lease changes nothing: (1,0) is still worth 0.
+  // Under the older lease, or under no weights at all, (0,1) would go.
+  newer.End();
+  ASSERT_TRUE(pool.FetchPinned(PageId{0, 0}).ok());
+  EXPECT_EQ(victims, (std::vector<PageId>{{1, 1}, {1, 0}}));
 }
 
 }  // namespace

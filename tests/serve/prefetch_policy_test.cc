@@ -139,12 +139,13 @@ TEST(PrefetchPolicyTest, VictimSequenceUndistortedByUntouchedPrefetch) {
     on.prefetch_depth = 2;
     ConcurrentBufferPool pool_on(disk_on.get(), on);
 
+    buffer::QueryLease lease_off;
+    buffer::QueryLease lease_on;
     if (kind == PolicyKind::kRap) {
       buffer::QueryContext ctx;
       ctx.SetWeight(0, 2.0);
-      buffer::QueryContext ctx_copy = ctx;
-      pool_off.SetQueryContext(std::move(ctx));
-      pool_on.SetQueryContext(std::move(ctx_copy));
+      lease_off = pool_off.BeginQuery(ctx);
+      lease_on = pool_on.BeginQuery(std::move(ctx));
     }
 
     std::vector<PageId> victims_off;

@@ -248,8 +248,8 @@ TEST(ShardedGoldenTest, TermBudgetAndDeadlineCutsMatchUnsharded) {
   EXPECT_GT(deadlines, 0u);
 }
 
-// ---- Shared-context RAP: per-shard SharedQueryContext snapshots must
-// not change the (DF) ranking either. ----
+// ---- Shared-context RAP: each shard pool's merge of its live query
+// leases must not change the (DF) ranking either. ----
 
 TEST(ShardedGoldenTest, SharedContextDfStillMatches) {
   TestCollection tc = MakeRandomCollection(41, 120, 10, kPageSize);
