@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths underneath the
 // reproduction: stemming, posting compression, buffer-manager fetches per
-// policy, accumulator updates and top-n selection. These quantify the
-// constant factors behind the simulator's CPU-cost metric.
+// policy, accumulator updates and probes, and top-n selection. These
+// quantify the constant factors behind the simulator's CPU-cost metric.
 
 #include <benchmark/benchmark.h>
 
@@ -137,6 +137,37 @@ void BM_AccumulatorUpdates_block(benchmark::State& state) {
   state.SetLabel("block/BM_AccumulatorUpdates");
 }
 BENCHMARK(BM_AccumulatorUpdates_block);
+
+// The DF/BAF add-mode stream (Persin's step 4(c)iii) at paper-replay's
+// per-query shape: ~440 candidates, then ~40,000 FindOrNull probes over
+// the WSJ profile's 173,252 doc ids. One probe in 50 names a candidate;
+// the rest miss, as almost every add-mode probe does.
+void BM_AccumulatorProbe(benchmark::State& state) {
+  constexpr uint32_t kNumDocs = 173252;
+  constexpr uint32_t kCandidates = 440;
+  Pcg32 rng(19);
+  core::AccumulatorSet acc;
+  std::vector<DocId> candidates(kCandidates);
+  for (DocId& d : candidates) {
+    d = rng.NextBounded(kNumDocs);
+    acc.Insert(d, 1.0);
+  }
+  std::vector<DocId> probes(40000);
+  for (DocId& d : probes) {
+    d = rng.NextBounded(kNumDocs);
+    if (rng.NextBounded(50) == 0) d = candidates[rng.NextBounded(kCandidates)];
+  }
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (DocId d : probes) {
+      if (const double* a = acc.FindOrNull(d)) sum += *a;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(probes.size()));
+}
+BENCHMARK(BM_AccumulatorProbe);
 
 const index::InvertedIndex& MicroIndex() {
   static index::InvertedIndex* index = [] {

@@ -10,11 +10,21 @@
 // is tombstone-free and probe chains never degrade. DocId 0xFFFFFFFF is
 // reserved as the empty-slot sentinel (collections are bounded far
 // below 2^32 documents).
+//
+// Beside the table sits a presence bitmap with one bit per document id,
+// sized to cover the largest id inserted so far: 21 KB of live bits for
+// the 173,252-document WSJ profile, so it stays in cache. The DF/BAF add
+// mode probes once per posting for documents that are almost never
+// candidates; the bitmap answers that "no" with one bit test, and only
+// a set bit walks the table. Doc ids are dense collection ordinals, so
+// the cost is bounded by the collection size: 1 bit per document for
+// each live evaluation run.
 
 #ifndef IRBUF_CORE_ACCUMULATOR_SET_H_
 #define IRBUF_CORE_ACCUMULATOR_SET_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -31,16 +41,19 @@ class AccumulatorSet {
 
   /// Pointer to d's accumulator, or nullptr when d is not a candidate.
   /// Never allocates: this is the probe the DF "add" mode and the
-  /// quit/continue budget check issue once per posting.
+  /// quit/continue budget check issue once per posting. A clear
+  /// presence bit answers "not a candidate" without touching the
+  /// table; it also covers the sentinel id, which is never inserted.
   double* FindOrNull(DocId d) {
-    // The sentinel id would alias empty slots (the k == d test below
-    // matches kEmpty first, handing back an unoccupied slot's value).
-    if (d == kEmpty || mask_ == 0) return nullptr;
+    if (!Present(d)) return nullptr;
     size_t i = Hash(d) & mask_;
     while (true) {
       const DocId k = keys_[i];
       if (k == d) return &vals_[i];
-      if (k == kEmpty) return nullptr;
+      if (k == kEmpty) {
+        IRBUF_DCHECK(false, "presence bit set for a doc not in the table");
+        return nullptr;
+      }
       i = (i + 1) & mask_;
     }
   }
@@ -55,10 +68,6 @@ class AccumulatorSet {
     return FindOrInsertImpl(d, &inserted);
   }
 
-  /// Compatibility aliases for the pre-rewrite API.
-  double* Find(DocId d) { return FindOrNull(d); }
-  const double* Find(DocId d) const { return FindOrNull(d); }
-
   /// Inserts a new accumulator and returns a reference to it. Like
   /// unordered_map::emplace, an already-present d keeps its current
   /// value (`initial` is only stored on true insertion).
@@ -72,9 +81,10 @@ class AccumulatorSet {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Empties the set, keeping the table allocation.
+  /// Empties the set, keeping the table and bitmap allocations.
   void Clear() {
     std::fill(keys_.begin(), keys_.end(), kEmpty);
+    std::fill(present_.begin(), present_.end(), 0);
     size_ = 0;
   }
 
@@ -125,6 +135,11 @@ class AccumulatorSet {
         (static_cast<uint64_t>(d) * 0x9E3779B97F4A7C15ull) >> 32);
   }
 
+  bool Present(DocId d) const {
+    const size_t w = d >> 6;
+    return w < present_.size() && ((present_[w] >> (d & 63)) & 1) != 0;
+  }
+
   double& FindOrInsertImpl(DocId d, bool* inserted) {
     IRBUF_DCHECK(d != kEmpty, "DocId 0xFFFFFFFF is reserved");
     // Grow at 1/2 load. The DF add mode probes for documents that are
@@ -133,6 +148,7 @@ class AccumulatorSet {
     // so the table trades memory — still well under the map's per-node
     // overhead — for guaranteed-short misses.
     if ((size_ + 1) * 2 > mask_ + 1) Grow();
+    if ((d >> 6) >= present_.size()) GrowPresence(d);
     // LINT-HOT-LOOP: accumulator probe chain.
     size_t i = Hash(d) & mask_;
     while (true) {
@@ -144,6 +160,7 @@ class AccumulatorSet {
       if (k == kEmpty) {
         keys_[i] = d;
         vals_[i] = 0.0;
+        present_[d >> 6] |= uint64_t{1} << (d & 63);
         ++size_;
         *inserted = true;
         return vals_[i];
@@ -172,8 +189,18 @@ class AccumulatorSet {
     }
   }
 
+  // Sizes the bitmap to cover d, rounded up to a power-of-two word
+  // count: ascending ids (a frequency-sorted run) reallocate O(log n)
+  // times, not once per 64 ids, and the bitmap never exceeds twice the
+  // id range it covers.
+  // irbuf-analyzer: amortized-alloc
+  void GrowPresence(DocId d) {
+    present_.resize(std::bit_ceil((static_cast<size_t>(d) >> 6) + 1), 0);
+  }
+
   std::vector<DocId> keys_;
   std::vector<double> vals_;
+  std::vector<uint64_t> present_;  // Bit d set iff d is a key.
   size_t size_ = 0;
   size_t mask_ = 0;  // capacity - 1; 0 while the table is unallocated.
 };

@@ -31,9 +31,10 @@ Result<ForwardIndex> ForwardIndex::FromInvertedIndex(
     for (uint32_t p = 0; p < index.lexicon().info(t).pages; ++p) {
       IRBUF_RETURN_NOT_OK(index.disk().ReadPage(PageId{t, p}, &page));
       const storage::PostingBlock& block = page.block;
-      for (size_t i = 0; i < block.size(); ++i) {
-        entries[cursor[block.doc_ids[i]]++] =
-            ForwardPosting{t, block.freqs[i]};
+      for (const storage::PostingRun& run : block.runs) {
+        for (uint32_t i = run.begin; i < run.end; ++i) {
+          entries[cursor[block.doc_ids[i]]++] = ForwardPosting{t, run.freq};
+        }
       }
     }
   }

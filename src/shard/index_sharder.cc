@@ -63,9 +63,11 @@ Result<ShardedIndex> ShardIndex(const index::InvertedIndex& source,
       IRBUF_RETURN_NOT_OK(image.status());
       IRBUF_RETURN_NOT_OK(storage::DecodePostingsInto(*image.value(),
                                                       &block));
-      for (size_t i = 0; i < block.size(); ++i) {
-        const DocId d = block.doc_ids[i];
-        buckets[out.ShardOf(d)].push_back(Posting{d, block.freqs[i]});
+      for (const storage::PostingRun& run : block.runs) {
+        for (uint32_t i = run.begin; i < run.end; ++i) {
+          const DocId d = block.doc_ids[i];
+          buckets[out.ShardOf(d)].push_back(Posting{d, run.freq});
+        }
       }
     }
     for (size_t s = 0; s < num_shards; ++s) {

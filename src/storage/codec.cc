@@ -93,7 +93,6 @@ Result<std::vector<Posting>> DecodePostings(const std::vector<uint8_t>& in) {
 void PostingBlock::FromPostings(const std::vector<Posting>& postings) {
   Clear();
   doc_ids.reserve(postings.size());
-  freqs.reserve(postings.size());
   size_t i = 0;
   while (i < postings.size()) {
     uint32_t freq = postings[i].freq;
@@ -103,10 +102,7 @@ void PostingBlock::FromPostings(const std::vector<Posting>& postings) {
     }
     runs.push_back(PostingRun{freq, static_cast<uint32_t>(i),
                               static_cast<uint32_t>(run_end)});
-    for (size_t j = i; j < run_end; ++j) {
-      doc_ids.push_back(postings[j].doc);
-      freqs.push_back(freq);
-    }
+    for (size_t j = i; j < run_end; ++j) doc_ids.push_back(postings[j].doc);
     i = run_end;
   }
 }
@@ -114,8 +110,10 @@ void PostingBlock::FromPostings(const std::vector<Posting>& postings) {
 std::vector<Posting> PostingBlock::ToPostings() const {
   std::vector<Posting> out;
   out.reserve(doc_ids.size());
-  for (size_t i = 0; i < doc_ids.size(); ++i) {
-    out.push_back(Posting{doc_ids[i], freqs[i]});
+  for (const PostingRun& run : runs) {
+    for (uint32_t i = run.begin; i < run.end; ++i) {
+      out.push_back(Posting{doc_ids[i], run.freq});
+    }
   }
   return out;
 }
@@ -276,7 +274,6 @@ Status DecodePostingsInto(const std::vector<uint8_t>& in, PostingBlock* out) {
     return Status::Corrupted("implausible posting count");
   }
   out->doc_ids.resize(count);
-  out->freqs.resize(count);
   uint32_t filled = 0;
   while (filled < count) {
     uint32_t freq = 0, run = 0;
@@ -292,10 +289,6 @@ Status DecodePostingsInto(const std::vector<uint8_t>& in, PostingBlock* out) {
     if (!DecodeRunDocs(&p, end, docs, run)) {
       return Status::Corrupted("truncated doc gap");
     }
-    // LINT-HOT-LOOP: freq fill.
-    uint32_t* fq = out->freqs.data() + filled;
-    for (uint32_t j = 0; j < run; ++j) fq[j] = freq;
-    // LINT-HOT-LOOP-END
     out->runs.push_back(PostingRun{freq, filled, filled + run});
     filled += run;
   }

@@ -58,16 +58,16 @@ struct PostingRun {
   bool operator==(const PostingRun&) const = default;
 };
 
-/// Struct-of-arrays decoded page: parallel doc_ids[] / freqs[] plus the
-/// equal-frequency run extents the evaluators' threshold logic operates
-/// on (within a run every posting shares f_{d,t}, so insert/add/drop
-/// decisions and the hoisted w_{d,t} * w_{q,t} product are per-run, not
-/// per-posting). Buffers keep their capacity across Clear(), so a block
-/// owned by a buffer-pool frame stops allocating once it has seen a
+/// Struct-of-arrays decoded page: doc_ids[] plus the equal-frequency
+/// run extents the evaluators' threshold logic operates on (within a
+/// run every posting shares f_{d,t}, so insert/add/drop decisions and
+/// the hoisted w_{d,t} * w_{q,t} product are per-run, not per-posting).
+/// A posting's frequency is its run's `freq`; no per-posting copy is
+/// kept. Buffers keep their capacity across Clear(), so a block owned
+/// by a buffer-pool frame stops allocating once it has seen a
 /// full-sized page.
 struct PostingBlock {
   std::vector<DocId> doc_ids;
-  std::vector<uint32_t> freqs;
   std::vector<PostingRun> runs;
 
   size_t size() const { return doc_ids.size(); }
@@ -76,7 +76,6 @@ struct PostingBlock {
   /// Empties the block, keeping buffer capacity.
   void Clear() {
     doc_ids.clear();
-    freqs.clear();
     runs.clear();
   }
 

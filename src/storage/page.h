@@ -2,11 +2,12 @@
 // page-level metadata RAP needs (the highest term weight on the page,
 // computed at index-build time — Section 3.3, Equation 6).
 //
-// Decoded postings live in a struct-of-arrays PostingBlock (doc_ids[],
-// freqs[], equal-frequency run extents): buffer-pool frames cache the
-// block, so a hit hands evaluators a fully decoded `const PostingBlock&`
-// with zero decode work, and the block's buffers are reused across the
-// frame's lifetime (zero steady-state allocations on the decode path).
+// Decoded postings live in a struct-of-arrays PostingBlock (doc_ids[]
+// and the equal-frequency run extents, each carrying its run's f_{d,t}
+// once): buffer-pool frames cache the block, so a hit hands evaluators a
+// fully decoded `const PostingBlock&` with zero decode work, and the
+// block's buffers are reused across the frame's lifetime (zero
+// steady-state allocations on the decode path).
 // Cold callers that still want AoS postings use MaterializePostings().
 
 #ifndef IRBUF_STORAGE_PAGE_H_

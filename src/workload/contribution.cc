@@ -1,10 +1,10 @@
 #include "workload/contribution.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "buffer/buffer_manager.h"
 #include "buffer/policy_factory.h"
+#include "core/accumulator_set.h"
 #include "core/scorer.h"
 
 namespace irbuf::workload {
@@ -26,11 +26,13 @@ Result<std::vector<RankedTerm>> RankTermsByContribution(
   Result<core::EvalResult> result = evaluator.Evaluate(query, &scratch);
   if (!result.ok()) return result.status();
 
-  // doc -> 1/W_d for the top-k answers.
-  std::unordered_map<DocId, double> top_inv_norm;
+  // doc -> 1/W_d for the top-k answers. The re-scan below probes this
+  // once per posting, almost always for a document outside the top k,
+  // which the set's presence bitmap answers without a table walk.
+  core::AccumulatorSet top_inv_norm;
   for (const core::ScoredDoc& sd : result.value().top_docs) {
     const double norm = index.doc_norm(sd.doc);
-    top_inv_norm.emplace(sd.doc, norm > 0.0 ? 1.0 / norm : 0.0);
+    top_inv_norm.Insert(sd.doc, norm > 0.0 ? 1.0 / norm : 0.0);
   }
   const double denom =
       top_inv_norm.empty() ? 1.0 : static_cast<double>(top_inv_norm.size());
@@ -52,8 +54,9 @@ Result<std::vector<RankedTerm>> RankTermsByContribution(
       for (const storage::PostingRun& run : block.runs) {
         const double partial = core::DocTermWeight(run.freq, info.idf) * wq;
         for (uint32_t i = run.begin; i < run.end; ++i) {
-          auto it = top_inv_norm.find(block.doc_ids[i]);
-          if (it != top_inv_norm.end()) sum += partial * it->second;
+          if (const double* inv = top_inv_norm.FindOrNull(block.doc_ids[i])) {
+            sum += partial * *inv;
+          }
         }
       }
     }

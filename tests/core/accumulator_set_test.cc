@@ -1,8 +1,9 @@
 // Unit tests for the open-addressing AccumulatorSet: adversarial DocId
-// patterns for the hash/probe machinery, and a reference-model
-// differential against std::unordered_map — size() is the paper's
-// memory metric, so the table must agree with the map it replaced
-// op-for-op, not just at the end.
+// patterns for the hash/probe machinery, the presence bitmap's edges
+// (ids past its end, ids sharing a word with a candidate, Clear), and a
+// reference-model differential against std::unordered_map — size() is
+// the paper's memory metric, so the table must agree with the map it
+// replaced op-for-op, not just at the end.
 
 #include "core/accumulator_set.h"
 
@@ -65,7 +66,11 @@ TEST(AccumulatorSetTest, GrowsUnderDenseIds) {
     ASSERT_NE(a, nullptr) << d;
     EXPECT_EQ(*a, static_cast<double>(d));
   }
-  EXPECT_EQ(acc.FindOrNull(10000), nullptr);
+  // Ids above the largest inserted miss, inside the presence bitmap's
+  // last word and past its end alike.
+  for (DocId d : {10000u, 16383u, 16384u, 173251u, 1u << 20, 0xFFFFFFFEu}) {
+    EXPECT_EQ(acc.FindOrNull(d), nullptr) << d;
+  }
 }
 
 TEST(AccumulatorSetTest, GrowsUnderStrideAliasingIds) {
@@ -87,14 +92,57 @@ TEST(AccumulatorSetTest, GrowsUnderStrideAliasingIds) {
   }
 }
 
+TEST(AccumulatorSetTest, FindSharingABitmapWordWithACandidateIsNull) {
+  // Candidates at both ends and inside two 64-id words: every other id
+  // of those words has a zero bit beside a set one.
+  AccumulatorSet acc;
+  const std::vector<DocId> candidates = {64, 127, 130, 191};
+  for (DocId d : candidates) acc.Insert(d, static_cast<double>(d));
+  for (DocId d = 64; d < 192; ++d) {
+    const double* a = acc.FindOrNull(d);
+    if (std::find(candidates.begin(), candidates.end(), d) !=
+        candidates.end()) {
+      ASSERT_NE(a, nullptr) << d;
+      EXPECT_EQ(*a, static_cast<double>(d));
+    } else {
+      EXPECT_EQ(a, nullptr) << d;
+    }
+  }
+  EXPECT_EQ(acc.FindOrNull(63), nullptr);
+  EXPECT_EQ(acc.FindOrNull(192), nullptr);
+}
+
+// FindOrNull interleaved with inserts, each probe checked against the
+// map while the table and the bitmap are still growing. Ids span 2^24
+// documents (~100x the WSJ profile): the presence bitmap costs one bit
+// per id up to the largest, so a 31-bit id space would size it at
+// 256 MB, while this range keeps the hash and rehashes busy at 2 MB.
 TEST(AccumulatorSetTest, RandomIdsSurviveRehashes) {
   Pcg32 rng(5150);
   AccumulatorSet acc;
   std::unordered_map<DocId, double> reference;
-  for (int i = 0; i < 20000; ++i) {
-    const DocId d = rng.NextU32() & 0x7FFFFFFFu;
+  std::vector<DocId> inserted;
+  for (int i = 0; i < 40000; ++i) {
+    // One id in four is a known candidate; the rest are almost always
+    // new, so most probes miss, as in the DF add mode.
+    DocId d = rng.NextU32() & 0xFFFFFFu;
+    if (!inserted.empty() && rng.NextBounded(4) == 0) {
+      d = inserted[rng.NextBounded(static_cast<uint32_t>(inserted.size()))];
+    }
+    if (rng.NextBounded(2) == 0) {
+      const double* a = acc.FindOrNull(d);
+      const auto it = reference.find(d);
+      if (it == reference.end()) {
+        ASSERT_EQ(a, nullptr) << "op " << i << " doc " << d;
+      } else {
+        ASSERT_NE(a, nullptr) << "op " << i << " doc " << d;
+        ASSERT_EQ(*a, it->second);
+      }
+      continue;
+    }
     const double w = static_cast<double>(rng.NextBounded(1000)) / 7.0;
     acc.FindOrInsert(d) += w;
+    if (reference.find(d) == reference.end()) inserted.push_back(d);
     reference[d] += w;
   }
   ASSERT_EQ(acc.size(), reference.size());
@@ -124,9 +172,17 @@ TEST(AccumulatorSetTest, ClearKeepsTableUsable) {
   acc.Clear();
   EXPECT_TRUE(acc.empty());
   EXPECT_EQ(acc.begin(), acc.end());
-  EXPECT_EQ(acc.FindOrNull(5), nullptr);
+  // Former candidates miss; one inserted again starts from zero and
+  // leaves its neighbours absent.
+  for (DocId d : {0u, 5u, 64u, 999u}) {
+    EXPECT_EQ(acc.FindOrNull(d), nullptr) << d;
+  }
+  EXPECT_EQ(acc.FindOrInsert(5), 0.0);
   acc.FindOrInsert(5) = 2.0;
   EXPECT_EQ(acc.size(), 1u);
+  ASSERT_NE(acc.FindOrNull(5), nullptr);
+  EXPECT_EQ(*acc.FindOrNull(5), 2.0);
+  EXPECT_EQ(acc.FindOrNull(6), nullptr);
 }
 
 // Replays a DF-shaped op trace — the Find / conditional-Insert /

@@ -69,12 +69,12 @@ TEST(TopNTest, ZeroNormDocsScoreZero) {
 TEST(AccumulatorSetTest, BasicOperations) {
   AccumulatorSet acc;
   EXPECT_TRUE(acc.empty());
-  EXPECT_EQ(acc.Find(3), nullptr);
+  EXPECT_EQ(acc.FindOrNull(3), nullptr);
   double& v = acc.Insert(3, 1.5);
   EXPECT_EQ(acc.size(), 1u);
   v += 1.0;
-  ASSERT_NE(acc.Find(3), nullptr);
-  EXPECT_DOUBLE_EQ(*acc.Find(3), 2.5);
+  ASSERT_NE(acc.FindOrNull(3), nullptr);
+  EXPECT_DOUBLE_EQ(*acc.FindOrNull(3), 2.5);
   acc.Clear();
   EXPECT_TRUE(acc.empty());
 }

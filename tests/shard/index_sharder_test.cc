@@ -25,9 +25,8 @@ std::vector<Posting> DecodeList(const index::InvertedIndex& index, TermId t) {
     auto image = index.disk().PageImage(PageId{t, p});
     EXPECT_TRUE(image.ok());
     EXPECT_TRUE(storage::DecodePostingsInto(*image.value(), &block).ok());
-    for (size_t i = 0; i < block.size(); ++i) {
-      postings.push_back(Posting{block.doc_ids[i], block.freqs[i]});
-    }
+    const std::vector<Posting> page = block.ToPostings();
+    postings.insert(postings.end(), page.begin(), page.end());
   }
   return postings;
 }

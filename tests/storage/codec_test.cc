@@ -146,13 +146,14 @@ TEST(PostingBlockTest, DecodeMatchesLegacyOnRandomLists) {
     ASSERT_TRUE(legacy.ok());
     ASSERT_TRUE(DecodePostingsInto(encoded, &block).ok()) << trial;
     EXPECT_EQ(block.ToPostings(), legacy.value()) << "trial " << trial;
-    // Run extents tile [0, size) and agree with the freqs array.
+    // Run extents tile [0, size), and each run's freq is the legacy
+    // decoder's frequency for every posting it covers.
     uint32_t expect_begin = 0;
     for (const PostingRun& run : block.runs) {
       ASSERT_EQ(run.begin, expect_begin);
       ASSERT_LT(run.begin, run.end);
       for (uint32_t i = run.begin; i < run.end; ++i) {
-        ASSERT_EQ(block.freqs[i], run.freq);
+        ASSERT_EQ(legacy.value()[i].freq, run.freq);
       }
       expect_begin = run.end;
     }
@@ -183,13 +184,13 @@ TEST(PostingBlockTest, SteadyStateDecodeReusesBuffers) {
   PostingBlock block;
   ASSERT_TRUE(DecodePostingsInto(big, &block).ok());
   const DocId* docs = block.doc_ids.data();
-  const uint32_t* freqs = block.freqs.data();
+  const PostingRun* runs = block.runs.data();
   // Re-decoding pages that fit the high-water capacity must not touch
   // the allocator: the arrays stay exactly where they were.
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(DecodePostingsInto(i % 2 ? small : big, &block).ok());
     EXPECT_EQ(block.doc_ids.data(), docs);
-    EXPECT_EQ(block.freqs.data(), freqs);
+    EXPECT_EQ(block.runs.data(), runs);
   }
 }
 
