@@ -15,7 +15,16 @@ bool IsFrequencySorted(const std::vector<Posting>& postings) {
 bool IsFrequencySorted(const PostingBlock& block) {
   for (size_t r = 0; r < block.runs.size(); ++r) {
     const PostingRun& run = block.runs[r];
-    if (r > 0 && run.freq >= block.runs[r - 1].freq) return false;
+    if (r > 0) {
+      // Same rule as the AoS overload at the run boundary: an image may
+      // split one frequency over adjacent runs if doc ids keep rising.
+      const uint32_t prev_freq = block.runs[r - 1].freq;
+      if (run.freq > prev_freq) return false;
+      if (run.freq == prev_freq &&
+          block.doc_ids[run.begin] <= block.doc_ids[run.begin - 1]) {
+        return false;
+      }
+    }
     for (uint32_t i = run.begin + 1; i < run.end; ++i) {
       if (block.doc_ids[i] <= block.doc_ids[i - 1]) return false;
     }

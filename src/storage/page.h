@@ -60,7 +60,9 @@ struct Page {
 };
 
 /// Validates the frequency-sorted invariant of a postings run:
-/// freq non-increasing, doc strictly increasing within equal freq.
+/// freq non-increasing, doc strictly increasing within equal freq. The
+/// block overload accepts exactly the same posting sequences, so two
+/// adjacent runs of one frequency pass when doc ids rise across them.
 bool IsFrequencySorted(const std::vector<Posting>& postings);
 bool IsFrequencySorted(const PostingBlock& block);
 

@@ -329,7 +329,9 @@ TEST_P(ChaosSweepTest, RandomScheduleNeverFailsAQuery) {
           << "seed " << seed;
       EXPECT_GE(er.quality_bound, 0.0);
       EXPECT_TRUE(std::isfinite(er.quality_bound));
-      if (er.pages_lost > 0) EXPECT_GT(er.quality_bound, 0.0);
+      if (er.pages_lost > 0) {
+        EXPECT_GT(er.quality_bound, 0.0);
+      }
       // Invariant 3: stats conservation under every schedule.
       const buffer::BufferStats& stats = pool.stats();
       EXPECT_EQ(stats.fetches, stats.hits + stats.misses)

@@ -40,6 +40,31 @@ TEST(FrequencySortedTest, RejectsDocDisorderWithinTies) {
       IsFrequencySorted(PostingVec{{5, 3}, {5, 3}}));  // Duplicate doc.
 }
 
+// The block overload judges the posting sequence the runs spell, like
+// the AoS overload: a frequency split over adjacent runs passes when
+// doc ids rise across the split.
+PostingBlock Block(std::vector<DocId> docs, std::vector<PostingRun> runs) {
+  PostingBlock block;
+  block.doc_ids = std::move(docs);
+  block.runs = std::move(runs);
+  return block;
+}
+
+TEST(FrequencySortedTest, BlockAgreesWithPostingsAcrossSplitRuns) {
+  const PostingBlock rising =
+      Block({10, 2, 7}, {{5, 0, 1}, {3, 1, 2}, {3, 2, 3}});
+  EXPECT_TRUE(IsFrequencySorted(rising.ToPostings()));
+  EXPECT_TRUE(IsFrequencySorted(rising));
+  const PostingBlock falling =
+      Block({10, 7, 2}, {{5, 0, 1}, {3, 1, 2}, {3, 2, 3}});
+  EXPECT_FALSE(IsFrequencySorted(falling.ToPostings()));
+  EXPECT_FALSE(IsFrequencySorted(falling));
+  const PostingBlock ascending = Block({1, 2}, {{1, 0, 1}, {2, 1, 2}});
+  EXPECT_FALSE(IsFrequencySorted(ascending));
+  const PostingBlock tie_disorder = Block({9, 5}, {{3, 0, 2}});
+  EXPECT_FALSE(IsFrequencySorted(tie_disorder));
+}
+
 TEST(PageTest, MinMaxFreq) {
   Page page;
   EXPECT_EQ(page.MaxFreq(), 0u);
