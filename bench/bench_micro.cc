@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths underneath the
-// reproduction: stemming, posting compression, buffer-manager fetches per
-// policy, accumulator updates and probes, and top-n selection. These
-// quantify the constant factors behind the simulator's CPU-cost metric.
+// reproduction: stemming, posting compression, buffer-pool fetches per
+// policy (both pools), accumulator updates and probes, and top-n
+// selection. These quantify the constant factors behind the simulator's
+// CPU-cost metric.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "core/top_n.h"
 #include "index/index_builder.h"
 #include "obs/span.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "storage/codec.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
@@ -220,11 +222,12 @@ const index::InvertedIndex& MicroIndex() {
   return *index;
 }
 
-void BM_BufferFetch(benchmark::State& state) {
+// Pins and unpins a uniform random page of MicroIndex's 8 terms per
+// iteration through a 64-page `pool` (a BufferManager or its concurrent
+// twin; both are final, so the calls stay direct).
+template <typename Pool>
+void FetchRandomPages(benchmark::State& state, Pool& pool) {
   const index::InvertedIndex& index = MicroIndex();
-  auto kind = static_cast<buffer::PolicyKind>(state.range(0));
-  buffer::BufferManager pool(&index.disk(), 64,
-                             buffer::MakePolicy(kind));
   buffer::QueryContext ctx;
   for (TermId t = 0; t < 8; ++t) ctx.SetWeight(t, 1.0 + t);
   const buffer::QueryLease lease = pool.BeginQuery(std::move(ctx));
@@ -234,16 +237,38 @@ void BM_BufferFetch(benchmark::State& state) {
     uint32_t page = rng.NextBounded(index.lexicon().info(term).pages);
     benchmark::DoNotOptimize(pool.FetchPinned(PageId{term, page}));
   }
-  state.SetLabel(buffer::PolicyKindName(kind));
+  state.SetLabel(buffer::PolicyKindName(
+      static_cast<buffer::PolicyKind>(state.range(0))));
 }
-BENCHMARK(BM_BufferFetch)
-    ->Arg(static_cast<int>(buffer::PolicyKind::kLru))
-    ->Arg(static_cast<int>(buffer::PolicyKind::kMru))
-    ->Arg(static_cast<int>(buffer::PolicyKind::kRap))
-    ->Arg(static_cast<int>(buffer::PolicyKind::kLruK))
-    ->Arg(static_cast<int>(buffer::PolicyKind::kTwoQ))
-    ->Arg(static_cast<int>(buffer::PolicyKind::kClock))
-    ->Arg(static_cast<int>(buffer::PolicyKind::kFifo));
+
+void AllPolicies(benchmark::internal::Benchmark* bench) {
+  for (buffer::PolicyKind kind :
+       {buffer::PolicyKind::kLru, buffer::PolicyKind::kMru,
+        buffer::PolicyKind::kRap, buffer::PolicyKind::kLruK,
+        buffer::PolicyKind::kTwoQ, buffer::PolicyKind::kClock,
+        buffer::PolicyKind::kFifo}) {
+    bench->Arg(static_cast<int>(kind));
+  }
+}
+
+void BM_BufferFetch(benchmark::State& state) {
+  buffer::BufferManager pool(
+      &MicroIndex().disk(), 64,
+      buffer::MakePolicy(static_cast<buffer::PolicyKind>(state.range(0))));
+  FetchRandomPages(state, pool);
+}
+BENCHMARK(BM_BufferFetch)->Apply(AllPolicies);
+
+// The same stream through the thread-safe serving pool, on one thread:
+// what the stripe, latch and atomics cost when nothing contends.
+void BM_ConcurrentBufferFetch(benchmark::State& state) {
+  serve::ConcurrentPoolOptions options;
+  options.capacity = 64;
+  options.policy = static_cast<buffer::PolicyKind>(state.range(0));
+  serve::ConcurrentBufferPool pool(&MicroIndex().disk(), options);
+  FetchRandomPages(state, pool);
+}
+BENCHMARK(BM_ConcurrentBufferFetch)->Apply(AllPolicies);
 
 // A frame table the RAP bench writes directly, with no pool around it.
 class MicroDirectory final : public buffer::FrameDirectory {

@@ -121,15 +121,11 @@ Result<const storage::Page*> BufferManager::FetchInternal(
     const PageId victim_page = frames_[frame].meta.page;
     // Victim metadata is observed before the frame is recycled; the
     // replacement value is RAP's Equation 6 under the effective context.
-    const uint64_t age_fetches = fetch_tick_ - frames_[frame].insert_tick;
     if (tracer_ != nullptr) {
       const double max_weight = frames_[frame].meta.max_weight;
       tracer_->Evict(victim_page.term, victim_page.page_no, max_weight,
                      max_weight * context_->WeightOf(victim_page.term),
-                     age_fetches);
-    }
-    if (metrics_.victim_age != nullptr) {
-      metrics_.victim_age->Observe(static_cast<double>(age_fetches));
+                     fetch_tick_ - frames_[frame].insert_tick);
     }
     page_table_.erase(victim_page.Pack());
     if (victim_page.term < term_resident_.size()) {
@@ -203,10 +199,6 @@ void BufferManager::BindMetrics(obs::MetricsRegistry* registry) {
       "buffer.victim_fallbacks",
       "evictions of the oldest unpinned frame because the policy's victim "
       "was pinned");
-  metrics_.victim_age = registry->AddHistogram(
-      "buffer.eviction_victim_age",
-      {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0},
-      "eviction victim age in fetches since insertion");
 }
 
 QueryLease BufferManager::BeginQuery(QueryContext weights) {

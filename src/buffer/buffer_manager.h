@@ -84,8 +84,7 @@ class BufferManager final : public FrameDirectory, public BufferPool {
   void SetTracer(obs::QueryTracer* tracer) { tracer_ = tracer; }
 
   /// Resolves metric handles in `registry` (buffer.fetches, buffer.hits,
-  /// buffer.misses, buffer.evictions, buffer.victim_fallbacks,
-  /// buffer.eviction_victim_age) once;
+  /// buffer.misses, buffer.evictions, buffer.victim_fallbacks) once;
   /// the fetch path then only dereferences them. Pass nullptr to unbind.
   void BindMetrics(obs::MetricsRegistry* registry);
 
@@ -148,7 +147,6 @@ class BufferManager final : public FrameDirectory, public BufferPool {
     obs::Counter* misses = nullptr;
     obs::Counter* evictions = nullptr;
     obs::Counter* victim_fallbacks = nullptr;
-    obs::Histogram* victim_age = nullptr;
   };
 
   const storage::SimulatedDisk* disk_;

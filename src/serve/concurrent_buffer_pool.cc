@@ -56,9 +56,9 @@ ConcurrentBufferPool::~ConcurrentBufferPool() {
   }
   // Quiescent-state contracts: every PinnedPage and QueryLease guard
   // must have been released (a live guard would call into a destroyed
-  // pool), every in-flight load must have reached a terminal state, and
-  // with no fetch in flight the counters must conserve exactly —
-  // including the device-read identity that coalescing makes exact.
+  // pool), every load must have published or failed, and with no fetch
+  // in flight the counters must conserve exactly — including the
+  // device-read identity that coalescing makes exact.
   for (const Frame& f : frames_) {
     IRBUF_DCHECK(f.pins.load(std::memory_order_relaxed) == 0,
                  "pool destroyed with outstanding pins");
@@ -69,8 +69,10 @@ ConcurrentBufferPool::~ConcurrentBufferPool() {
   }
   for (Stripe& stripe : stripes_) {
     MutexLock stripe_lock(stripe.mu);
-    IRBUF_DCHECK(stripe.loads.empty(),
-                 "pool destroyed with in-flight page loads");
+    for (const auto& [key, entry] : stripe.pages) {
+      IRBUF_DCHECK(entry.frame != buffer::kInvalidFrame,
+                   "pool destroyed with a page entry that has no frame");
+    }
   }
   buffer::contracts::CheckStatsConservation(
       fetches_.load(std::memory_order_relaxed),
@@ -91,32 +93,27 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
   {
     MutexLock stripe_lock(stripe.mu);
     for (;;) {
-      auto it = stripe.pages.find(key);
-      if (it != stripe.pages.end()) {
-        hit_frame = it->second;
+      auto [it, inserted] = stripe.pages.try_emplace(key);
+      if (inserted) break;  // A loading entry: we are the loader.
+      PageEntry& entry = it->second;
+      if (entry.frame != buffer::kInvalidFrame) {
+        hit_frame = entry.frame;
         // Pinning under the stripe mutex excludes the eviction path,
         // which re-checks pins under this same mutex.
         frames_[hit_frame].pins.fetch_add(1, std::memory_order_relaxed);
         break;
       }
-      auto load_it = stripe.loads.find(key);
-      if (load_it == stripe.loads.end()) {
-        stripe.loads.emplace(key, PageLoad{});  // We become the loader.
-        break;
-      }
       // Another thread — a demand loader or a readahead worker — is
-      // already reading this page. Join its FSM instead of issuing a
-      // duplicate read, and wait for a terminal transition: kResident
-      // publishes the mapping (we wake to a hit), kFailed erases the
-      // entry (we retry as the loader).
-      load_it->second.demand_joined = true;
+      // already reading this page. Join its load instead of issuing a
+      // duplicate read and wait: a publish sets the frame (we wake to
+      // a hit), a failed load erases the entry (we retry as the
+      // loader). Any wake of the stripe re-runs the lookup above.
+      entry.demand_joined = true;
       if (!joined_load && options_.span_recorder != nullptr) {
         wait_start_ns = MonotonicNowNs();
       }
       joined_load = true;
-      while (stripe.pages.count(key) == 0 && stripe.loads.count(key) != 0) {
-        stripe.cv.Wait(stripe.mu);
-      }
+      stripe.cv.Wait(stripe.mu);
     }
   }
   if (joined_load && options_.span_recorder != nullptr) {
@@ -193,7 +190,7 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
   // the decode (plus any allocation a cold frame needs) all happen in
   // ExecuteLoad, with no lock held.
   Frame& f = frames_[frame];
-  const Status read = ExecuteLoad(id, key, f, /*prefetch=*/false);
+  const Status read = ExecuteLoad(id, f, /*prefetch=*/false);
   if (!read.ok()) {
     ReleaseFailedLoad(key, frame);
     return read;
@@ -219,29 +216,37 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
       term_resident_[id.term].fetch_add(1, std::memory_order_relaxed);
     }
     policy_->OnInsert(frame);
-    // Publish the mapping only after the policy knows the frame, nested
-    // inside the latch (lock order latch -> stripe), so a hitter's
-    // OnHit can never reach the policy before our OnInsert.
-    {
-      MutexLock stripe_lock(stripe.mu);
-      auto load_it = stripe.loads.find(key);
-      if (load_it != stripe.loads.end()) {
-        load_it->second.state = PageLoad::State::kResident;
-        stripe.loads.erase(load_it);
-      }
-      stripe.pages.emplace(key, frame);
-    }
-    stripe.cv.NotifyAll();
+    // Publish only after the policy knows the frame, nested inside the
+    // latch (lock order latch -> stripe), so a hitter's OnHit can never
+    // reach the policy before our OnInsert.
+    PublishEntry(key, frame);
   }
   return buffer::PinnedPage(this, &f.page, frame, /*was_miss=*/true);
 }
 
-Status ConcurrentBufferPool::ExecuteLoad(PageId id, uint64_t key,
-                                         Frame& frame, bool prefetch) {
+bool ConcurrentBufferPool::PublishEntry(uint64_t key, buffer::FrameId frame) {
+  Stripe& stripe = StripeFor(key);
+  bool demand_joined = false;
+  {
+    MutexLock stripe_lock(stripe.mu);
+    // Only this loader erases its loading entry (on failure), and
+    // eviction erases only resident entries, so the entry is still here.
+    auto it = stripe.pages.find(key);
+    IRBUF_DCHECK(it != stripe.pages.end() &&
+                     it->second.frame == buffer::kInvalidFrame,
+                 "a load published without its loading entry");
+    it->second.frame = frame;
+    demand_joined = it->second.demand_joined;
+  }
+  stripe.cv.NotifyAll();
+  return demand_joined;
+}
+
+Status ConcurrentBufferPool::ExecuteLoad(PageId id, Frame& frame,
+                                         bool prefetch) {
   const auto read_once = [&]() -> Status {
-    // Phase 1: the simulated device transfer. A retrying attempt
-    // re-enters kReading here.
-    SetLoadState(key, PageLoad::State::kReading);
+    // The device transfer: the delay is slept between the two phases,
+    // so a read that fails in BeginRead costs no delay.
     storage::SimulatedDisk::PageReadOp op;
     IRBUF_RETURN_NOT_OK(disk_->BeginRead(id, &op));
     if (options_.io_delay_us_per_miss > 0) {
@@ -249,10 +254,9 @@ Status ConcurrentBufferPool::ExecuteLoad(PageId id, uint64_t key,
           static_cast<double>(options_.io_delay_us_per_miss) *
           op.latency_multiplier));
     }
-    // Phase 2: CRC + decode on this thread. While we sit in kDecoding,
-    // other loads' phase-1 transfers are outstanding concurrently —
-    // page n decodes while page n+1's read is in flight.
-    SetLoadState(key, PageLoad::State::kDecoding);
+    // CRC + decode on this thread, while other loaders' device delays
+    // run concurrently — page n decodes while page n+1's read is in
+    // flight.
     return disk_->FinishRead(id, op, &frame.page);
   };
   // The span covers the whole lock-free load — the read (retries
@@ -407,17 +411,9 @@ void ConcurrentBufferPool::AbandonLoad(uint64_t key) {
   Stripe& stripe = StripeFor(key);
   {
     MutexLock stripe_lock(stripe.mu);
-    stripe.loads.erase(key);
+    stripe.pages.erase(key);
   }
   stripe.cv.NotifyAll();
-}
-
-void ConcurrentBufferPool::SetLoadState(uint64_t key,
-                                        PageLoad::State state) {
-  Stripe& stripe = StripeFor(key);
-  MutexLock stripe_lock(stripe.mu);
-  auto it = stripe.loads.find(key);
-  if (it != stripe.loads.end()) it->second.state = state;
 }
 
 void ConcurrentBufferPool::Prefetch(buffer::PageAccessPlan plan) {
@@ -434,7 +430,7 @@ void ConcurrentBufferPool::Prefetch(buffer::PageAccessPlan plan) {
     Stripe& stripe = StripeFor(key);
     {
       MutexLock stripe_lock(stripe.mu);
-      if (stripe.pages.count(key) != 0 || stripe.loads.count(key) != 0) {
+      if (stripe.pages.count(key) != 0) {  // Resident or loading.
         ++skipped;
         continue;
       }
@@ -485,16 +481,13 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
     return;
   }
   const uint64_t key = id.Pack();
-  Stripe& stripe = StripeFor(key);
   {
     // Prefetch filtered this page at the hint, but it can have become
-    // resident or started loading since: check again.
+    // resident or started loading since: check again, and otherwise
+    // become its loader.
+    Stripe& stripe = StripeFor(key);
     MutexLock stripe_lock(stripe.mu);
-    if (stripe.pages.count(key) != 0) return;  // Already resident.
-    if (stripe.loads.count(key) != 0) return;  // Already in flight.
-    PageLoad load;
-    load.prefetch = true;
-    stripe.loads.emplace(key, load);
+    if (!stripe.pages.try_emplace(key).second) return;
   }
   buffer::FrameId frame = buffer::kInvalidFrame;
   {
@@ -519,10 +512,10 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
     return;
   }
   Frame& f = frames_[frame];
-  const Status read = ExecuteLoad(id, key, f, /*prefetch=*/true);
+  const Status read = ExecuteLoad(id, f, /*prefetch=*/true);
   if (!read.ok()) {
     // A faulted readahead is silent: the frame returns to the free
-    // list, the in-flight entry clears (joined waiters retry as
+    // list, the loading entry is erased (joined waiters retry as
     // loaders), and the demand fetch performs its own resilient read.
     // The failure never reached the breaker, so it cannot be the reason
     // the breaker rejects that read.
@@ -538,18 +531,7 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
     f.meta.max_weight = f.page.max_weight;
     f.meta.occupied = true;
     f.insert_tick = ++fetch_tick_;
-    bool joined = false;
-    {
-      MutexLock stripe_lock(stripe.mu);
-      auto load_it = stripe.loads.find(key);
-      if (load_it != stripe.loads.end()) {
-        joined = load_it->second.demand_joined;
-        load_it->second.state = PageLoad::State::kResident;
-        stripe.loads.erase(load_it);
-      }
-      stripe.pages.emplace(key, frame);
-    }
-    if (joined) {
+    if (PublishEntry(key, frame)) {
       // A demand fetch is already waiting on this load: publish
       // promoted — the page was demanded, just like a coalesced miss.
       f.prefetch_tagged = false;
@@ -572,7 +554,6 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
     if (id.term < term_resident_.size()) {
       term_resident_[id.term].fetch_add(1, std::memory_order_relaxed);
     }
-    stripe.cv.NotifyAll();
     // Drop the reservation pin. fetch_sub, not a store: the mapping is
     // already published, so a hitter may have pinned concurrently.
     f.pins.fetch_sub(1, std::memory_order_release);
@@ -592,9 +573,9 @@ uint32_t ConcurrentBufferPool::PinCount(PageId id) const {
   auto& stripe = const_cast<ConcurrentBufferPool*>(this)->StripeFor(key);
   MutexLock stripe_lock(stripe.mu);
   auto it = stripe.pages.find(key);
-  return it == stripe.pages.end()
+  return it == stripe.pages.end() || it->second.frame == buffer::kInvalidFrame
              ? 0
-             : frames_[it->second].pins.load(std::memory_order_relaxed);
+             : frames_[it->second.frame].pins.load(std::memory_order_relaxed);
 }
 
 buffer::QueryLease ConcurrentBufferPool::BeginQuery(

@@ -9,11 +9,10 @@
 //  * The live query leases (BeginQuery) sit behind their own mutex,
 //    taken once per query start and end, never per page. It is held
 //    across the context publish so publishes land in lease order.
-//  * The page table is striped: each stripe owns a mutex, the resident
-//    page -> frame map of its hash slice, the in-flight table of pages
-//    currently being loaded (PageLoad mini-FSMs), and a condition
-//    variable that loading waiters block on. Fetches of pages in
-//    different stripes never contend here.
+//  * The page table is striped: each stripe owns a mutex, the page
+//    table of its hash slice (resident and loading entries, see below)
+//    and a condition variable that fetches joining a load block on.
+//    Fetches of pages in different stripes never contend here.
 //  * One pool-wide latch serializes everything the (single-threaded)
 //    replacement policy and free list touch: victim choice, frame
 //    metadata, OnInsert/OnHit/OnEvict, the prefetch-tagged window and
@@ -25,54 +24,55 @@
 //  * Per-frame pin counts, per-term residency (b_t) and the pool
 //    counters are atomics; recording never takes a lock.
 //
-// The async miss pipeline. Every load — demand miss or readahead — is a
-// PageLoad mini-FSM in its stripe's in-flight table:
+// The async miss pipeline. Every page the pool knows has one entry in
+// its stripe's page table, in one of two states:
 //
-//        kRequested ──► kReading ──► kDecoding ──► kResident
-//             │             │             │        (published in the
-//             └─────────────┴─────────────┴──► kFailed   page table)
+//        loading ──── publish ────► resident
+//   (no frame yet)                (entry holds the frame)
+//        │
+//        └── the load fails: the entry is erased
 //
-// kRequested: the load owns a table entry but no I/O has started (it may
-// still be waiting for a frame). kReading: the simulated device transfer
-// (SimulatedDisk::BeginRead + the configured miss delay) is in flight.
-// kDecoding: CRC verification + posting-block decode
-// (SimulatedDisk::FinishRead) are running on the loader's thread. The
-// terminal states leave the table: kResident publishes the page->frame
-// mapping (waiters wake to a hit), kFailed erases the entry with no
-// mapping (waiters retry as loaders; a retryable attempt re-enters
-// kReading first). Because the table is checked before any read is
-// issued, a second fetch — or a readahead — of a page mid-load never
-// issues a second disk read: it joins the FSM and waits on the stripe's
-// condition variable (the wait is attributed to the kAsyncWait span
-// stage), then counts as a coalesced hit. Misses therefore equal demand
-// disk reads *exactly*, and misses + prefetch reads equal every read the
-// pool ever issued (contracts::CheckDiskReadConservation, checked at
-// destruction).
+// The first fetch — demand miss or readahead — to find a page absent
+// inserts a loading entry and becomes the page's loader. It reserves a
+// frame and reads with no lock held: SimulatedDisk::BeginRead, the
+// configured device delay, then FinishRead's CRC check and decode on
+// the loader's thread. Publishing sets the frame in the entry (waiters
+// wake to a hit); a failed load erases it (waiters retry as loaders). A
+// loading entry is not resident: hits, PinCount and eviction see only
+// entries with a frame. Because the table is checked before any read is
+// issued, a second fetch of a page mid-load never issues a second disk
+// read: it joins the load, marking the entry demand_joined, and waits
+// on the stripe's condition variable (the wait is attributed to the
+// kAsyncWait span stage), then counts as a coalesced hit; a readahead
+// of the page is dropped. Misses therefore equal demand disk reads
+// *exactly*, and misses + prefetch reads equal every read the pool ever
+// issued (contracts::CheckDiskReadConservation, checked at destruction).
 //
-// Decode/I/O overlap falls out of the split read: while a demand miss
-// (or a readahead worker) sits in kDecoding on its own thread, other
-// loads' kReading device transfers are outstanding concurrently — page
-// n decodes while page n+1's read is in flight.
+// Decode/I/O overlap falls out of the split read: while one loader
+// decodes on its own thread, other loaders' device delays run
+// concurrently — page n decodes while page n+1's read is in flight.
 //
 // Readahead (prefetch_depth > 0). Prefetch(plan) enqueues the hinted
-// pages that are neither resident nor in flight onto a bounded queue
-// drained by prefetch_depth background I/O workers. A readahead load
-// runs the same FSM as a demand miss but stays outside the circuit
-// breaker: it makes one attempt with no retry, takes no probe slot,
-// records no outcome, and is not issued at all unless the breaker is
-// closed. The breaker's state is therefore a function of demand reads
-// alone. A faulted readahead read is silently dropped and the demand
-// fetch later makes its own resilient read. On success
-// the page is published into an *unpinned, prefetch-tagged* frame: the
+// pages that have no entry (neither resident nor loading) onto a
+// bounded queue drained by prefetch_depth background I/O workers. A
+// readahead load reads like a demand miss but stays outside the
+// circuit breaker: it makes one attempt with no retry, takes no probe
+// slot, records no outcome, and is not issued at all unless the breaker
+// is closed. The breaker's state is therefore a function of demand
+// reads alone. A faulted readahead read is silently dropped and the
+// demand fetch later makes its own resilient read. On success the page
+// is published into an *unpinned, prefetch-tagged* frame: the
 // replacement policy is NOT told about the frame (no OnInsert), so
 // victim choice is undistorted until a demand fetch touches the page —
 // promotion then runs OnInsert, unmarks the tag and counts
-// prefetch_used. Tagged frames live in a bounded FIFO window
-// (min(2*prefetch_depth, capacity/2)); when the window is full the next
-// readahead reclaims the oldest tagged frame (counted prefetch_wasted —
-// it was read but never demanded), so readahead can never consume more
-// than the window's share of the pool. Demand evictions reclaim tagged
-// frames only as a last resort when every untagged frame is pinned.
+// prefetch_used. A load that a demand fetch joined publishes promoted
+// instead: the page was demanded before it arrived. Tagged frames live
+// in a bounded FIFO window (min(2*prefetch_depth, capacity/2)); when
+// the window is full the next readahead reclaims the oldest tagged
+// frame (counted prefetch_wasted — it was read but never demanded), so
+// readahead can never consume more than the window's share of the
+// pool. Demand evictions reclaim tagged frames only as a last resort
+// when every untagged frame is pinned.
 // With prefetch_depth == 0 the pipeline is inert: no worker threads
 // exist, Prefetch returns immediately, no frame is ever tagged, and the
 // pool's counters, policy-callback sequence and frame handout order are
@@ -193,7 +193,7 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   /// Joins the readahead workers, then checks the quiescent-state
   /// contracts (all pins released, stats conservation, device-read
-  /// conservation, empty in-flight tables) under IRBUF_DCHECK.
+  /// conservation, no loading entry left) under IRBUF_DCHECK.
   ~ConcurrentBufferPool() override;
 
   ConcurrentBufferPool(const ConcurrentBufferPool&) = delete;
@@ -225,8 +225,8 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   size_t PrefetchDepth() const override { return options_.prefetch_depth; }
 
   /// Enqueues hinted pages for the background I/O workers. Pages
-  /// already resident or already in flight are skipped at the hint,
-  /// one stripe probe each, so they never reach the queue: on a fully
+  /// already resident or already loading are skipped at the hint, one
+  /// stripe probe each, so they never reach the queue: on a fully
   /// resident pool, queueing them woke workers only to find each page
   /// resident, and that churn cost more evaluator CPU than the probes
   /// do (DESIGN.md §13 has the measurements). The rest are queued under
@@ -250,14 +250,13 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   }
 
   /// Resolves the buffer.* metric handles in `registry` (same names as
-  /// BufferManager::BindMetrics, minus the victim-age histogram, plus
-  /// the readahead counters prefetch_{issued,used,wasted},
-  /// coalesced_misses and prefetch_hints_{queued,skipped,dropped}).
-  /// Call before serving starts; pass nullptr to unbind. `prefix`
-  /// replaces the leading "buffer" of every instrument name — the
-  /// sharded pool binds its per-shard pools as "shard0.buffer",
-  /// "shard1.buffer", ... so shard hit rates are individually
-  /// observable in one registry.
+  /// BufferManager::BindMetrics, plus the readahead counters
+  /// prefetch_{issued,used,wasted}, coalesced_misses and
+  /// prefetch_hints_{queued,skipped,dropped}). Call before serving
+  /// starts; pass nullptr to unbind. `prefix` replaces the leading
+  /// "buffer" of every instrument name — the sharded pool binds its
+  /// per-shard pools as "shard0.buffer", "shard1.buffer", ... so shard
+  /// hit rates are individually observable in one registry.
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "buffer");
 
@@ -304,22 +303,10 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     std::atomic<uint32_t> pins{0};
   };
 
-  /// One in-flight page load (see the FSM diagram atop this file). The
-  /// entry lives in its stripe's `loads` table from the moment a loader
-  /// claims the page until the load publishes (kResident) or fails
-  /// (kFailed); both terminal transitions erase the entry.
-  struct PageLoad {
-    enum class State : uint8_t {
-      kRequested,  // claimed; no I/O started yet (may await a frame)
-      kReading,    // device transfer (BeginRead + miss delay) in flight
-      kDecoding,   // CRC verify + posting decode on the loader's thread
-      kResident,   // terminal: mapping published, entry about to erase
-      kFailed,     // terminal: no mapping, entry erased, waiters retry
-    };
-    State state = State::kRequested;
-    /// The load was started by a readahead worker (publishes into a
-    /// prefetch-tagged frame unless a demand fetch joined meanwhile).
-    bool prefetch = false;
+  /// One page-table entry (see the diagram atop this file): resident
+  /// once `frame` is set, loading while it is kInvalidFrame.
+  struct PageEntry {
+    buffer::FrameId frame = buffer::kInvalidFrame;
     /// A demand fetch is waiting on this load; a joined readahead
     /// publishes promoted (OnInsert, untagged, counted prefetch_used).
     bool demand_joined = false;
@@ -332,11 +319,9 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     /// latch_mu_.
     Mutex mu;
     CondVar cv;
-    /// Resident pages of this slice: packed PageId -> frame.
-    std::unordered_map<uint64_t, buffer::FrameId> pages IRBUF_GUARDED_BY(mu);
-    /// In-flight table: pages currently being loaded, demand or
-    /// readahead, keyed by packed PageId.
-    std::unordered_map<uint64_t, PageLoad> loads IRBUF_GUARDED_BY(mu);
+    /// Packed PageId -> entry, for every resident or loading page of
+    /// this slice.
+    std::unordered_map<uint64_t, PageEntry> pages IRBUF_GUARDED_BY(mu);
   };
 
   static constexpr size_t kStripes = 16;
@@ -379,26 +364,27 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// prefetch_used is counted.
   void PromoteLocked(buffer::FrameId frame) IRBUF_REQUIRES(latch_mu_);
 
-  /// Erases `key` from its stripe's in-flight table and wakes waiters
-  /// (the load failed or could not get a frame; waiters retry as
-  /// loaders).
+  /// Erases the loading entry for `key` and wakes waiters (the load
+  /// failed or could not get a frame; waiters retry as loaders).
   void AbandonLoad(uint64_t key);
 
-  /// Transitions `key`'s in-flight entry (if still present) to `state`.
-  void SetLoadState(uint64_t key, PageLoad::State state);
+  /// Sets the loader's own entry for `key` resident in `frame` and
+  /// wakes the stripe's waiters. Returns whether a demand fetch joined
+  /// the load.
+  bool PublishEntry(uint64_t key, buffer::FrameId frame)
+      IRBUF_REQUIRES(latch_mu_);
 
   /// Runs one disk read into `frame.page` with no pool lock held:
-  /// BeginRead, the simulated device delay, then FinishRead, moving the
-  /// FSM through kReading/kDecoding (retries re-enter kReading). Wraps
-  /// a demand load's attempts in the resilient reader when one is
+  /// BeginRead, the simulated device delay, then FinishRead. Wraps a
+  /// demand load's attempts in the resilient reader when one is
   /// configured (a readahead load makes one bare attempt), and either
   /// in a kMissRead (demand) or kPrefetchIssue (readahead) span. Counts
   /// device_reads_ on success.
-  Status ExecuteLoad(PageId id, uint64_t key, Frame& frame, bool prefetch)
+  Status ExecuteLoad(PageId id, Frame& frame, bool prefetch)
       IRBUF_EXCLUDES(latch_mu_);
 
   /// Returns the reservation frame for a failed load to the free list
-  /// and abandons the in-flight entry.
+  /// and abandons the loading entry.
   void ReleaseFailedLoad(uint64_t key, buffer::FrameId frame)
       IRBUF_EXCLUDES(latch_mu_);
 
@@ -406,8 +392,8 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   void PrefetchWorkerLoop();
 
   /// Loads one hinted page end to end (dequeue side of Prefetch),
-  /// unless it became resident or started loading after the hint, or
-  /// the breaker is not closed.
+  /// unless it gained an entry after the hint, or the breaker is not
+  /// closed.
   void PrefetchOne(PageId id);
 
   struct MetricHandles {

@@ -163,12 +163,10 @@ ShardedEngine::ShardedEngine(const ShardedIndex* index,
   for (size_t s = 0; s < num_shards; ++s) {
     lanes_.push_back(std::make_unique<ShardLanes>(options_.lanes_per_shard));
   }
-  if (options_.shard_breakers) {
-    breakers_.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      breakers_.push_back(
-          std::make_unique<fault::CircuitBreaker>(options_.shard_breaker));
-    }
+  breakers_.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    breakers_.push_back(
+        std::make_unique<fault::CircuitBreaker>(options_.shard_breaker));
   }
   if (options_.eval.span_recorder != nullptr) {
     // Read-side spans (CRC verify, block decode) are recorded by each
@@ -303,12 +301,10 @@ Result<core::EvalResult> ShardedEngine::Evaluate(
     // Breaker admission: a shard whose breaker rejects the request is
     // forfeited before any work is posted. A half-open breaker admits
     // exactly one query's step as its probe; everyone else degrades.
-    if (!breakers_.empty()) {
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (dead[s] != 0) continue;
-        if (!breakers_[s]->AllowRequest()) {
-          ForfeitShard(s, query, &dead, &merged);
-        }
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (dead[s] != 0) continue;
+      if (!breakers_[s]->AllowRequest()) {
+        ForfeitShard(s, query, &dead, &merged);
       }
     }
 
@@ -341,22 +337,20 @@ Result<core::EvalResult> ShardedEngine::Evaluate(
         // recorded as a failure (frees a half-open probe slot, pushes
         // the breaker toward a trip) and the shard is forfeited; the
         // late completion writes a slot nobody reads.
-        if (!breakers_.empty()) breakers_[s]->RecordFailure();
+        breakers_[s]->RecordFailure();
         ForfeitShard(s, query, &dead, &merged);
         continue;
       }
-      if (!breakers_.empty()) {
-        // Exactly one Record* per admitted step keeps the breaker's
-        // probe accounting 1:1 with AllowRequest — on the logic-error
-        // path too, or a half-open probe would wedge forever. A step
-        // that completed with a logic error still got a device
-        // response, so it counts as a success: the window measures
-        // device health, not query validity.
-        if (slot.ok && slot.outcome.pages_lost > 0) {
-          breakers_[s]->RecordFailure();
-        } else {
-          breakers_[s]->RecordSuccess();
-        }
+      // Exactly one Record* per admitted step keeps the breaker's probe
+      // accounting 1:1 with AllowRequest — on the logic-error path too,
+      // or a half-open probe would wedge forever. A step that completed
+      // with a logic error still got a device response, so it counts as
+      // a success: the window measures device health, not query
+      // validity.
+      if (slot.ok && slot.outcome.pages_lost > 0) {
+        breakers_[s]->RecordFailure();
+      } else {
+        breakers_[s]->RecordSuccess();
       }
       if (!slot.ok) {
         // Logic error fails the query — but only after every admitted

@@ -134,11 +134,10 @@ struct ShardedEngineOptions {
   // (see LostShardTermBound) and the shard's page count to pages_lost.
   // The query still answers from the surviving shards, degraded but
   // honest. Breakers persist across queries, so a blacked-out shard
-  // costs each query at most one probing term once tripped.
+  // costs each query at most one probing term once tripped. With zero
+  // lost pages a breaker never trips, so healthy-path behavior (and the
+  // p=0 goldens) is unchanged.
 
-  /// Per-shard breakers on by default: with zero lost pages they never
-  /// trip, so healthy-path behavior (and the p=0 goldens) is unchanged.
-  bool shard_breakers = true;
   /// Tuning for every shard's breaker.
   fault::BreakerOptions shard_breaker;
   /// Wall-clock budget for any one shard to complete one term's step;
@@ -185,8 +184,9 @@ class ShardedEngine final : public serve::QueryEngine {
   /// forfeited shard adds to the merged pages_lost.
   uint32_t ShardTermPages(size_t shard, TermId term) const;
 
-  /// The shard's failure-domain breaker; null when shard_breakers is
-  /// off. Exposed so tests (and the chaos CLI) can pre-trip or inspect.
+  /// The shard's failure-domain breaker (null for an out-of-range
+  /// shard). Exposed so tests (and the chaos CLI) can pre-trip or
+  /// inspect.
   fault::CircuitBreaker* shard_breaker(size_t shard) {
     return shard < breakers_.size() ? breakers_[shard].get() : nullptr;
   }
@@ -208,8 +208,8 @@ class ShardedEngine final : public serve::QueryEngine {
   ShardedBufferPool pool_;
   std::vector<core::FilteringEvaluator> evaluators_;
   std::vector<std::unique_ptr<ShardLanes>> lanes_;
-  /// Per-shard failure-domain breakers (empty when disabled). Their
-  /// own mutex serializes feeding; persists across queries.
+  /// Per-shard failure-domain breakers. Their own mutex serializes
+  /// feeding; persists across queries.
   std::vector<std::unique_ptr<fault::CircuitBreaker>> breakers_;
   /// Bumped once per shard forfeiture; wired at BindMetrics time (the
   /// Counter itself is thread-safe).

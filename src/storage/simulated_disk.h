@@ -91,8 +91,9 @@ class SimulatedDisk {
   /// Phase 2: CRC verification (kCorrupted on mismatch) and posting-
   /// block decode into `*out`, recording the kCrcVerify/kBlockDecode
   /// spans and bumping the read counters on success. The async serve
-  /// pool runs its simulated device delay between the phases so its
-  /// in-flight table can distinguish "reading" from "decoding";
+  /// pool sleeps its simulated device delay between the phases, so a
+  /// read that fails in BeginRead costs no delay and the delay is
+  /// scaled by the spike factor BeginRead reports;
   /// ReadPage(id, out, mult) == BeginRead + FinishRead back to back.
   Status FinishRead(PageId id, const PageReadOp& op, Page* out) const;
 

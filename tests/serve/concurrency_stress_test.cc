@@ -210,8 +210,8 @@ TEST(ConcurrentPoolStressTest, HammerWithHeldPinsConservesStats) {
 
 TEST(ConcurrentPoolStressTest, SamePageMissStormIssuesExactlyOneRead) {
   // The duplicate-read race: many threads demand the SAME cold page
-  // while the (slow, simulated) device transfer is in flight. The
-  // in-flight table must coalesce all of them onto one PageLoad, so the
+  // while the (slow, simulated) device transfer is in flight. The page's
+  // loading entry must coalesce all of them onto one load, so the
   // device sees exactly one read under ANY schedule — the loader counts
   // the miss, everyone else a (possibly coalesced) hit.
   auto disk = buffer::MakeTestDisk({4});

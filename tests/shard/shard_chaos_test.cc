@@ -388,7 +388,6 @@ TEST(ShardChaosZeroRateTest, FailureDomainApparatusIsBitInvisible) {
     shard::ShardedEngineOptions options;
     options.pool.total_pages = 16;
     options.pool.resilience = FastResilience();
-    options.shard_breakers = true;
     options.shard_step_soft_deadline_us = 10'000'000;  // Armed, generous.
     shard::ShardedEngine engine(&sharded.value(), options);
 
